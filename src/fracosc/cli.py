@@ -50,23 +50,22 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _write(text: str, out: str | None):
+def _write(chunks, out: str | None):
+    """Write an iterable of text chunks to stdout or to the file ``out``."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _csv(meta: dict, columns: list[str], rows) -> str:
-    lines = [
-        f"# tool=fracosc version={__version__}",
-        "# " + " ".join(f"{k}={v}" for k, v in meta.items()),
-        ",".join(columns),
-    ]
+def _csv(meta: dict, columns: list[str], rows):
+    """CSV lines, each ending in a newline, produced one row at a time."""
+    yield f"# tool=fracosc version={__version__}\n"
+    yield "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
+    yield ",".join(columns) + "\n"
     for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(repr(float(v)) for v in row) + "\n"
 
 
 def _json(payload: dict) -> str:
@@ -111,10 +110,9 @@ def cmd_deriv(args) -> int:
         f = FracSeries.from_json_text(args.series)
     else:
         f = _series_from_expr(parse(args.expr))
-    values = np.array([f(t) for t in ts])
+    values = f.evaluate(ts)
     if args.scheme == "exact":
-        d = frac_derive(f, alpha)
-        dvals = np.array([d(t) for t in ts])
+        dvals = frac_derive(f, alpha).evaluate(ts)
     else:
         if ts[0] != 0.0:
             raise ParseError("gl/l1 grids must start at the base point 0")
@@ -127,8 +125,7 @@ def cmd_deriv(args) -> int:
             dvals = l1_derivative(values, alpha, h)
     meta = {"alpha": repr(alpha), "k": 1, "n": 1, "scheme": args.scheme,
             "config_sha256": "-"}
-    text = _csv(meta, ["t", "f", "d"], zip(ts, values, dvals))
-    _write(text, args.out)
+    _write(_csv(meta, ["t", "f", "d"], zip(ts, values, dvals)), args.out)
     return 0
 
 
@@ -183,7 +180,7 @@ def _el_reference(cfg, sha, tol, out) -> int:
         "target": to_str(prob.target),
         "config_sha256": sha,
     }
-    _write(_json(payload), out)
+    _write([_json(payload)], out)
     if tol is not None and worst > tol:
         print(f"assertion failed: max residual {worst:.3e} > {tol:.3e}",
               file=sys.stderr)
@@ -284,7 +281,7 @@ def cmd_connection(args) -> int:
         },
         "config_sha256": sha,
     }
-    _write(_json(payload), args.out)
+    _write([_json(payload)], args.out)
     if args.assert_tol is not None:
         worst = max(payload["checks"].values())
         if worst > args.assert_tol:

@@ -1,6 +1,9 @@
 """CLI and config-file behaviour: exit codes, file formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -261,3 +264,32 @@ def test_output_is_byte_identical_across_runs(tmp_path, argv):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--config", f"{CONFIGS}/solve_eigen.cfg"],
+        ["deriv", "--expr", "t^2 + t^3.5", "--alpha", "0.6",
+         "--grid", "0:1:0.001", "--scheme", "exact"],
+        ["deriv", "--series", "[[1.0, 2.0], [0.5, 3.1]]", "--alpha", "0.4",
+         "--grid", "0:1:0.001", "--scheme", "gl", "--side", "right"],
+    ],
+    ids=["solve", "deriv-exact", "deriv-gl"],
+)
+def test_stdout_bytes_equal_out_file_bytes(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_cli_import_does_not_load_numpy_fft():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, fracosc.cli; print('numpy.fft' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

@@ -17,7 +17,7 @@ from fracosc.numeric import (
     solve_fode,
 )
 from fracosc.series import FracSeries
-from fracosc.specfun import gen_binomial, mittag_leffler
+from fracosc.specfun import gamma, gen_binomial, mittag_leffler
 
 
 def _exact_power_derivative(g, alpha, t):
@@ -30,6 +30,16 @@ def _exact_power_derivative(g, alpha, t):
 def test_gl_weights_are_signed_binomials(alpha, j):
     w = gl_weights(alpha, j)
     assert w[j] == pytest.approx((-1.0) ** j * gen_binomial(alpha, j), rel=1e-10, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.13, 0.5, 0.9, 1.0])
+def test_gl_weights_equal_the_recursion_bitwise(alpha):
+    n = 40_000
+    ref = np.empty(n + 1)
+    ref[0] = 1.0
+    for j in range(1, n + 1):
+        ref[j] = ref[j - 1] * (1.0 - (alpha + 1.0) / j)
+    assert np.array_equal(gl_weights(alpha, n), ref)
 
 
 def test_gl_weights_partial_sums_positive():
@@ -79,7 +89,10 @@ def test_right_derivative_mirrors_left():
 def test_first_node_is_zero_for_both_schemes():
     f = np.linspace(0, 1, 11) ** 1.2
     assert gl_derivative(f, 0.3, 0.1)[0] == 0.0
+    assert gl_derivative(f, 0.3, 0.1, side="right")[-1] == 0.0
     assert l1_derivative(f, 0.3, 0.1)[0] == 0.0
+    assert np.array_equal(gl_derivative([2.5], 0.3, 0.1), [0.0])
+    assert np.array_equal(l1_derivative([2.5], 0.3, 0.1), [0.0])
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.3, 1.5])
@@ -155,3 +168,78 @@ def test_solver_input_validation():
 def test_solver_zero_rhs_stays_put(alpha):
     res = solve_fode(lambda t, x: np.zeros_like(x), [1.5, -2.0], alpha, 0.5, 0.01)
     assert np.max(np.abs(res.x - np.array([1.5, -2.0]))) < 1e-12
+
+
+# ------------------------------------- fast history sums vs direct references
+#
+# The schemes sum their history by FFT and the solver by precomputed weights;
+# these are the direct O(N^2) sums they replace, kept as references. The
+# rounding of the direct GL sum grows like h^-alpha, hence the 1e-10 bound.
+
+
+def _gl_direct(f, alpha, h, side="left"):
+    if side == "right":
+        return _gl_direct(f[::-1], alpha, h)[::-1]
+    return np.convolve(gl_weights(alpha, len(f) - 1), f - f[0])[: len(f)] * h**-alpha
+
+
+def _l1_direct(f, alpha, h):
+    n = len(f) - 1
+    j = np.arange(n, dtype=float)
+    a = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+    out = np.zeros(n + 1)
+    out[1:] = np.convolve(a, np.diff(f))[:n] * h**-alpha / gamma(2.0 - alpha)
+    return out
+
+
+def _adams_direct(rhs, x0, alpha, t_end, h):
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    n_steps = int(round(t_end / h))
+    t = np.arange(n_steps + 1) * h
+    x = np.zeros((n_steps + 1, x0.shape[0]))
+    fhist = np.zeros_like(x)
+    x[0] = x0
+    fhist[0] = rhs(t[0], x0)
+    c_pred = h**alpha / gamma(alpha + 1.0)
+    c_corr = h**alpha / gamma(alpha + 2.0)
+    for n in range(n_steps):
+        j = np.arange(n + 1, dtype=float)
+        b = (n + 1.0 - j) ** alpha - (n - j) ** alpha
+        pred = x0 + c_pred * (b[:, None] * fhist[: n + 1]).sum(axis=0)
+        acc = (n ** (alpha + 1.0) - (n - alpha) * (n + 1.0) ** alpha) * fhist[0]
+        if n >= 1:
+            jj = np.arange(1, n + 1, dtype=float)
+            aj = (
+                (n - jj + 2.0) ** (alpha + 1.0)
+                + (n - jj) ** (alpha + 1.0)
+                - 2.0 * (n - jj + 1.0) ** (alpha + 1.0)
+            )
+            acc = acc + (aj[:, None] * fhist[1 : n + 1]).sum(axis=0)
+        x[n + 1] = x0 + c_corr * (acc + rhs(t[n + 1], pred))
+        fhist[n + 1] = rhs(t[n + 1], x[n + 1])
+    return x
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("n", [2**8, 2**12, 2**15])
+def test_fft_history_sums_match_direct_sums(n, alpha):
+    t = np.linspace(0.0, 1.0, n + 1)
+    f = np.sin(3.0 * t) + t**1.5 + t**2
+    h = 1.0 / n
+    for side in ("left", "right"):
+        direct = _gl_direct(f, alpha, h, side)
+        fast = gl_derivative(f, alpha, h, side)
+        assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(np.abs(direct))
+    # at alpha = 1 both L1 sums are all zeros: a_0 = 1**0 - 0**0 = 0
+    direct = _l1_direct(f, alpha, h)
+    assert np.max(np.abs(l1_derivative(f, alpha, h) - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+def test_adams_weights_match_direct_solver(alpha):
+    def rhs(t, x):
+        return np.array([-x[1], x[0] - 0.5 * x[1] + math.sin(t)])
+
+    res = solve_fode(rhs, [1.0, 0.5], alpha, 2.0, 1e-3)
+    assert res.x.shape == (2001, 2)
+    assert np.max(np.abs(res.x - _adams_direct(rhs, [1.0, 0.5], alpha, 2.0, 1e-3))) <= 1e-13

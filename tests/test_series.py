@@ -204,6 +204,17 @@ def test_evaluate_scalar_array_and_guards():
         g(np.array([0.0, 1.0]))
 
 
+@settings(max_examples=200)
+@given(
+    admissible_series(0.0),
+    st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=40),
+)
+def test_evaluate_on_array_is_bitwise_pointwise(f, ts):
+    # the CLI evaluates whole grids at once; its CSV bytes rely on this
+    ts = np.array(ts)
+    assert np.array_equal(f.evaluate(ts), np.array([f(t) for t in ts]))
+
+
 def test_json_round_trip():
     f = FracSeries([(1.25, 0.0), (-3.0, 1.5)])
     assert FracSeries.from_json_text(f.to_json_text()) == f

@@ -72,8 +72,10 @@ from .expr import (
     evaluate,
     frac_partial,
     normal_form,
+    normal_sum,
     simplify,
 )
+from .expr import _node  # one simplify step over simplified children
 from .geometry import ChartMap, base_vars, require_invertible, weighted_jacobian_exprs
 from .series import FracSeries, frac_derive
 from .specfun import gamma
@@ -324,10 +326,7 @@ def spray_derivation(
         for h in range(spec.n):
             d = classical_partial(f, f"y{h + 1}_{spec.k}")
             pieces.append(Mul(Mul(Num(-wk), G[h]), d))
-        out: Expr = Num(0.0)
-        for p in pieces:
-            out = Add(out, p)
-        return normal_form(out)
+        return normal_sum(pieces)
 
     return apply
 
@@ -337,9 +336,19 @@ def spray_derivation(
 
 def jet_transform(cm: ChartMap, spec: BundleSpec) -> list[tuple[Expr, ...]]:
     """Prolong a base chart change to all jet levels; returns levels 0..k as
-    tuples of Exprs in the source variables (x and y up to each level)."""
+    tuples of Exprs in the source variables (x and y up to each level).
+
+    The prolongation is built once per chart map and spec; every call returns
+    a fresh list of the same simplified levels."""
     if cm.n != spec.n:
         raise DomainError(f"chart map dimension {cm.n} != bundle dimension {spec.n}")
+    levels = cm._prolongations.get(spec)
+    if levels is None:
+        levels = cm._prolongations[spec] = _prolong(cm, spec)
+    return list(levels)
+
+
+def _prolong(cm: ChartMap, spec: BundleSpec) -> tuple[tuple[Expr, ...], ...]:
     alpha = spec.alpha
     levels: list[tuple[Expr, ...]] = [tuple(cm.components)]
     for a in range(1, spec.k + 1):
@@ -354,10 +363,10 @@ def jet_transform(cm: ChartMap, spec: BundleSpec) -> list[tuple[Expr, ...]]:
                 Jrow = weighted_jacobian_exprs((prev[i],), source_names, alpha)[0]
                 for j in range(spec.n):
                     y_b = Var(spec.y_names(b)[j])
-                    acc = Add(acc, Mul(Num(w_b / w_a), Mul(Jrow[j], y_b)))
-            comps.append(simplify(acc))
+                    acc = _node(Add(acc, _node(Mul(Num(w_b / w_a), _node(Mul(Jrow[j], y_b))))))
+            comps.append(acc)
         levels.append(tuple(comps))
-    return levels
+    return tuple(levels)
 
 
 def transform_jet_point(cm: ChartMap, spec: BundleSpec, jp: JetPoint) -> JetPoint:
@@ -550,25 +559,34 @@ def spray_to_dual(
 # ---------------------------------------- first-order chart transformation --
 
 
+def _first_order_blocks(cm: ChartMap, spec: BundleSpec, N: PrimalCoefficients,
+                        jp: JetPoint) -> tuple[np.ndarray, ...]:
+    """Jx, Jyx, Jyy (weighted Jacobian blocks of the prolonged chart change)
+    and N^{(1)} at jp, for a k=1 bundle."""
+    if spec.k != 1:
+        raise DomainError("first-order transformation law needs k = 1")
+    env = jp.env()
+    levels = jet_transform(cm, spec)
+    xs, ys = spec.x_names(), spec.y_names(1)
+    Jx, Jyx, Jyy = (
+        np.array([[evaluate(e, env) for e in row]
+                  for row in weighted_jacobian_exprs(comps, names, spec.alpha)])
+        for comps, names in ((levels[0], xs), (levels[1], xs), (levels[1], ys))
+    )
+    return Jx, Jyx, Jyy, _eval_mat(N.order(1), env, spec.n)
+
+
+def _transformed_primal(Jx, Jyx, Jyy, N1) -> np.ndarray:
+    return (Jyy @ N1 - Jyx) @ require_invertible(Jx, "base-block Jacobian")
+
+
 def transform_primal_first_order(
     cm: ChartMap, spec: BundleSpec, N: PrimalCoefficients, jp: JetPoint
 ) -> np.ndarray:
     """Numeric transformed first-order primal coefficients at the image of jp
     for a k=1 bundle:  Nbar = (Jyy N - Jyx) Jx^{-1}, where Jx, Jyx, Jyy are
     the weighted Jacobian blocks of the prolonged chart change."""
-    if spec.k != 1:
-        raise DomainError("first-order transformation law needs k = 1")
-    env = jp.env()
-    levels = jet_transform(cm, spec)
-    xs, ys = spec.x_names(), spec.y_names(1)
-    Jx = np.array([[evaluate(e, env) for e in row]
-                   for row in weighted_jacobian_exprs(levels[0], xs, spec.alpha)])
-    Jyx = np.array([[evaluate(e, env) for e in row]
-                    for row in weighted_jacobian_exprs(levels[1], xs, spec.alpha)])
-    Jyy = np.array([[evaluate(e, env) for e in row]
-                    for row in weighted_jacobian_exprs(levels[1], ys, spec.alpha)])
-    N1 = _eval_mat(N.order(1), env, spec.n)
-    return (Jyy @ N1 - Jyx) @ require_invertible(Jx, "base-block Jacobian")
+    return _transformed_primal(*_first_order_blocks(cm, spec, N, jp))
 
 
 def horizontal_transform_residual(
@@ -577,17 +595,8 @@ def horizontal_transform_residual(
     """Defect of the horizontal correspondence: the tangent map of the
     prolonged chart change must send each adapted field delta_{x^j} to the
     Jx-combination of the transformed adapted fields."""
-    env = jp.env()
-    levels = jet_transform(cm, spec)
-    xs, ys = spec.x_names(), spec.y_names(1)
-    Jx = np.array([[evaluate(e, env) for e in row]
-                   for row in weighted_jacobian_exprs(levels[0], xs, spec.alpha)])
-    Jyx = np.array([[evaluate(e, env) for e in row]
-                    for row in weighted_jacobian_exprs(levels[1], xs, spec.alpha)])
-    Jyy = np.array([[evaluate(e, env) for e in row]
-                    for row in weighted_jacobian_exprs(levels[1], ys, spec.alpha)])
-    N1 = _eval_mat(N.order(1), env, spec.n)
-    Nbar = transform_primal_first_order(cm, spec, N, jp)
+    Jx, Jyx, Jyy, N1 = _first_order_blocks(cm, spec, N, jp)
+    Nbar = _transformed_primal(Jx, Jyx, Jyy, N1)
     # T(delta_j) components: base part Jx[., j], fibre part Jyx[., j] - Jyy N1[., j]
     fibre_image = Jyx - Jyy @ N1
     # Jx-combination of transformed adapted fields: fibre part -Nbar Jx

@@ -28,12 +28,13 @@ B^T blockdiag(g, ..., g) B for the coframe matrix B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bundle import BundleSpec, DualCoefficients, PrimalCoefficients, dual_coframe
 from .errors import DomainError
-from .expr import Add, Expr, Mul, Neg, Num, evaluate, frac_partial, normal_form, to_str
+from .expr import Expr, Mul, Neg, evaluate, frac_partial, normal_form, normal_sum, to_str
 
 __all__ = [
     "MetricField",
@@ -107,13 +108,6 @@ class ConnectionCoefficients:
     C: tuple[np.ndarray, ...]
 
 
-def _sum_exprs(pieces: list[Expr]) -> Expr:
-    out: Expr = Num(0.0)
-    for p in pieces:
-        out = Add(out, p)
-    return normal_form(out)
-
-
 @dataclass(frozen=True)
 class MetricalConnection:
     spec: BundleSpec
@@ -135,7 +129,7 @@ class MetricalConnection:
             for m in range(spec.n):
                 d = frac_partial(f, f"y{m + 1}_{b}", spec.alpha)
                 pieces.append(Neg(Mul(Nb[m][j], d)))
-        return _sum_exprs(pieces)
+        return normal_sum(pieces)
 
     def delta_y(self, f: Expr, a: int, i: int) -> Expr:
         """Delta along fibre direction y^{i(a)} (level a in 1..k, i 0-indexed)."""
@@ -148,31 +142,34 @@ class MetricalConnection:
             for m in range(spec.n):
                 d = frac_partial(f, f"y{m + 1}_{a + b}", spec.alpha)
                 pieces.append(Neg(Mul(Nb[m][i], d)))
-        return _sum_exprs(pieces)
+        return normal_sum(pieces)
 
     # -- coefficients at a point ----------------------------------------------
 
-    def _delta_metric_x(self, env) -> np.ndarray:
-        """Dg[j, s, l] = (Delta_{x_j} g_sl)(env); symmetric in (s, l)."""
-        n = self.spec.n
-        out = np.empty((n, n, n))
-        for s in range(n):
-            for l in range(s, n):
-                g_sl = self.metric.entry(s, l)
-                for j in range(n):
-                    v = evaluate(self.delta_x(g_sl, j), env)
-                    out[j, s, l] = out[j, l, s] = v
-        return out
+    @cached_property
+    def _delta_metric(self) -> tuple[tuple[tuple[int, int, int, Expr], ...], ...]:
+        """Adapted derivations of the metric, built once: entry 0 holds
+        (j, s, l, Delta_{x_j} g_sl) and entry a holds (j, s, l,
+        Delta_{y^{j(a)}} g_sl) for s <= l."""
+        n, k = self.spec.n, self.spec.k
+        entries = [(s, l, self.metric.entry(s, l)) for s in range(n) for l in range(s, n)]
+        levels = [tuple((j, s, l, self.delta_x(g, j))
+                        for s, l, g in entries for j in range(n))]
+        for a in range(1, k + 1):
+            levels.append(tuple((j, s, l, self.delta_y(g, a, j))
+                                for s, l, g in entries for j in range(n)))
+        return tuple(levels)
 
-    def _delta_metric_y(self, a: int, env) -> np.ndarray:
+    def _delta_metric_at(self, env) -> list[np.ndarray]:
+        """Dg[j, s, l] at env for the base (first) and each fibre level;
+        symmetric in (s, l)."""
         n = self.spec.n
-        out = np.empty((n, n, n))
-        for s in range(n):
-            for l in range(s, n):
-                g_sl = self.metric.entry(s, l)
-                for j in range(n):
-                    v = evaluate(self.delta_y(g_sl, a, j), env)
-                    out[j, s, l] = out[j, l, s] = v
+        out = []
+        for level in self._delta_metric:
+            Dg = np.empty((n, n, n))
+            for j, s, l, e in level:
+                Dg[j, s, l] = Dg[j, l, s] = evaluate(e, env)
+            out.append(Dg)
         return out
 
     @staticmethod
@@ -181,14 +178,15 @@ class MetricalConnection:
         B = Dg.transpose(1, 0, 2) + Dg.transpose(2, 1, 0) - Dg
         return 0.5 * np.einsum("is,sjl->ijl", ginv, B)
 
-    def coefficients_at(self, env: dict[str, float]) -> ConnectionCoefficients:
+    def _coefficients_with_dg(self, env) -> tuple[ConnectionCoefficients, list]:
         ginv = self.metric.inverse_at(env)
-        L = self._levi_civita(ginv, self._delta_metric_x(env))
-        C = tuple(
-            self._levi_civita(ginv, self._delta_metric_y(a, env))
-            for a in range(1, self.spec.k + 1)
-        )
-        return ConnectionCoefficients(L, C)
+        Dgs = self._delta_metric_at(env)
+        L = self._levi_civita(ginv, Dgs[0])
+        C = tuple(self._levi_civita(ginv, Dg) for Dg in Dgs[1:])
+        return ConnectionCoefficients(L, C), Dgs
+
+    def coefficients_at(self, env: dict[str, float]) -> ConnectionCoefficients:
+        return self._coefficients_with_dg(env)[0]
 
     # -- compatibility and covariant derivative --------------------------------
 
@@ -196,12 +194,10 @@ class MetricalConnection:
         """max over all adapted directions of the covariant derivative of g;
         zero up to inversion rounding for any primal coefficients."""
         g = self.metric.evaluate_at(env)
-        coeff = self.coefficients_at(env)
-        worst = _nabla_g_norm(g, self._delta_metric_x(env), coeff.L)
-        for a in range(1, self.spec.k + 1):
-            worst = max(
-                worst, _nabla_g_norm(g, self._delta_metric_y(a, env), coeff.C[a - 1])
-            )
+        coeff, Dgs = self._coefficients_with_dg(env)
+        worst = _nabla_g_norm(g, Dgs[0], coeff.L)
+        for Dg, K in zip(Dgs[1:], coeff.C):
+            worst = max(worst, _nabla_g_norm(g, Dg, K))
         return worst
 
     def covariant_derivative_x(self, tensor, env: dict[str, float]) -> np.ndarray:

@@ -46,7 +46,7 @@ from .specfun import mittag_leffler as _ml_fn
 __all__ = [
     "Expr", "Num", "Var", "Call", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "parse", "to_str", "evaluate", "free_vars", "simplify",
-    "Term", "normalize_terms", "terms_to_expr", "normal_form",
+    "Term", "normalize_terms", "terms_to_expr", "normal_form", "normal_sum",
     "term_frac_partial", "frac_partial", "classical_partial",
     "frac_partial_at", "is_monomial_in",
 ]
@@ -383,20 +383,51 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 def simplify(e: Expr) -> Expr:
     """Cheap structural cleanup: constant folding and 0/1 identities.
-    gamma/ml calls are *not* folded (the term layer keeps them exact)."""
+    gamma/ml calls are *not* folded (the term layer keeps them exact).
+
+    Every output is a fixed point of the rules, so one bottom-up pass of
+    :func:`_node` suffices; shared subtrees are visited once per call."""
+    return _simplify(e, {})
+
+
+def _simplify(e: Expr, memo: dict) -> Expr:
+    # memo maps id(node) -> (node, simplified); holding the node keeps the id valid
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
     if isinstance(e, (Num, Var)):
         return e
     if isinstance(e, Call):
-        return Call(e.fn, tuple(simplify(a) for a in e.args))
+        out: Expr = Call(e.fn, tuple(_simplify(a, memo) for a in e.args))
+    elif isinstance(e, Neg):
+        a = _simplify(e.arg, memo)
+        out = _node(e if a is e.arg else Neg(a))
+    elif isinstance(e, Pow):
+        b = _simplify(e.base, memo)
+        out = _node(e if b is e.base else Pow(b, e.exponent))
+    elif isinstance(e, (Add, Sub, Mul, Div)):
+        a, b = _simplify(e.left, memo), _simplify(e.right, memo)
+        out = _node(e if a is e.left and b is e.right else type(e)(a, b))
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    memo[id(e)] = (e, out)
+    return out
+
+
+def _node(e: Expr) -> Expr:
+    """The rules of :func:`simplify` applied at the root of ``e`` only; the
+    children of ``e`` must already be simplified."""
+    if isinstance(e, (Num, Var, Call)):
+        return e
     if isinstance(e, Neg):
-        a = simplify(e.arg)
+        a = e.arg
         if isinstance(a, Num):
             return Num(-a.value)
         if isinstance(a, Neg):
             return a.arg
-        return Neg(a)
+        return e
     if isinstance(e, Pow):
-        b = simplify(e.base)
+        b = e.base
         if e.exponent == 0.0:
             return Num(1.0)
         if e.exponent == 1.0:
@@ -405,9 +436,9 @@ def simplify(e: Expr) -> Expr:
             try:
                 return Num(_pow_value(b.value, e.exponent))
             except EvalError:
-                return Pow(b, e.exponent)
-        return Pow(b, e.exponent)
-    a, b = simplify(e.left), simplify(e.right)
+                return e
+        return e
+    a, b = e.left, e.right
     if isinstance(e, Add):
         if isinstance(a, Num) and a.value == 0.0:
             return b
@@ -415,15 +446,15 @@ def simplify(e: Expr) -> Expr:
             return a
         if isinstance(a, Num) and isinstance(b, Num):
             return Num(a.value + b.value)
-        return Add(a, b)
+        return e
     if isinstance(e, Sub):
         if isinstance(b, Num) and b.value == 0.0:
             return a
         if isinstance(a, Num) and isinstance(b, Num):
             return Num(a.value - b.value)
         if isinstance(a, Num) and a.value == 0.0:
-            return simplify(Neg(b))
-        return Sub(a, b)
+            return _node(Neg(b))
+        return e
     if isinstance(e, Mul):
         if isinstance(a, Num):
             if a.value == 0.0:
@@ -437,7 +468,7 @@ def simplify(e: Expr) -> Expr:
                 return a
         if isinstance(a, Num) and isinstance(b, Num):
             return Num(a.value * b.value)
-        return Mul(a, b)
+        return e
     if isinstance(e, Div):
         if isinstance(b, Num) and b.value == 1.0:
             return a
@@ -447,7 +478,7 @@ def simplify(e: Expr) -> Expr:
             return Num(0.0)
         if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
             return Num(a.value / b.value)
-        return Div(a, b)
+        return e
     raise TypeError(f"not an Expr: {e!r}")
 
 # -------------------------------------------------------- monomial fragment --
@@ -646,6 +677,14 @@ def normal_form(e: Expr) -> Expr:
     """Distribute, collect, cancel, rebuild. Deterministic canonical sum."""
     return terms_to_expr(normalize_terms(e))
 
+
+def normal_sum(pieces: Iterable[Expr]) -> Expr:
+    """Normal form of the sum of ``pieces`` (``Num(0.0)`` for none)."""
+    out: Expr = Num(0.0)
+    for p in pieces:
+        out = Add(out, p)
+    return normal_form(out)
+
 # ------------------------------------------------------ fractional partials --
 
 #: exponent snap width shared with the series layer
@@ -733,32 +772,49 @@ def frac_partial_at(e: Expr, var: str, alpha: float, env: dict[str, float],
 
 def classical_partial(e: Expr, var: str) -> Expr:
     """Ordinary symbolic partial derivative. Function calls must not contain
-    ``var`` (their derivatives are outside this small language)."""
-    if isinstance(e, Num):
-        return Num(0.0)
-    if isinstance(e, Var):
-        return Num(1.0 if e.name == var else 0.0)
-    if isinstance(e, Call):
-        if var in free_vars(e):
-            raise DomainError(
-                f"classical_partial cannot differentiate through {e.fn}(...) in {var!r}")
-        return Num(0.0)
-    if isinstance(e, Neg):
-        return simplify(Neg(classical_partial(e.arg, var)))
-    if isinstance(e, Add):
-        return simplify(Add(classical_partial(e.left, var),
-                            classical_partial(e.right, var)))
-    if isinstance(e, Sub):
-        return simplify(Sub(classical_partial(e.left, var),
-                            classical_partial(e.right, var)))
-    if isinstance(e, Mul):
-        return simplify(Add(Mul(classical_partial(e.left, var), e.right),
-                            Mul(e.left, classical_partial(e.right, var))))
-    if isinstance(e, Div):
-        num = Sub(Mul(classical_partial(e.left, var), e.right),
-                  Mul(e.left, classical_partial(e.right, var)))
-        return simplify(Div(num, Pow(e.right, 2.0)))
-    if isinstance(e, Pow):
-        inner = classical_partial(e.base, var)
-        return simplify(Mul(Mul(Num(e.exponent), Pow(e.base, e.exponent - 1.0)), inner))
-    raise TypeError(f"not an Expr: {e!r}")
+    ``var`` (their derivatives are outside this small language).
+
+    The result is simplified. Each distinct node of ``e`` is differentiated
+    and simplified once, so the cost is linear in the size of the shared
+    expression DAG; the left operand is differentiated before the right."""
+    derivs: dict = {}  # id(node) -> (node, derivative)
+    operands: dict = {}  # the simplify memo for operands copied into products
+
+    def d(x: Expr) -> Expr:
+        hit = derivs.get(id(x))
+        if hit is not None:
+            return hit[1]
+        if isinstance(x, Num):
+            out: Expr = Num(0.0)
+        elif isinstance(x, Var):
+            out = Num(1.0 if x.name == var else 0.0)
+        elif isinstance(x, Call):
+            if var in free_vars(x):
+                raise DomainError(
+                    f"classical_partial cannot differentiate through {x.fn}(...) in {var!r}")
+            out = Num(0.0)
+        elif isinstance(x, Neg):
+            out = _node(Neg(d(x.arg)))
+        elif isinstance(x, Add):
+            out = _node(Add(d(x.left), d(x.right)))
+        elif isinstance(x, Sub):
+            out = _node(Sub(d(x.left), d(x.right)))
+        elif isinstance(x, (Mul, Div)):
+            dl, dr = d(x.left), d(x.right)
+            left, right = _simplify(x.left, operands), _simplify(x.right, operands)
+            if isinstance(x, Mul):
+                out = _node(Add(_node(Mul(dl, right)), _node(Mul(left, dr))))
+            else:
+                num = _node(Sub(_node(Mul(dl, right)), _node(Mul(left, dr))))
+                out = _node(Div(num, _node(Pow(right, 2.0))))
+        elif isinstance(x, Pow):
+            inner = d(x.base)
+            base = _simplify(x.base, operands)
+            scale = _node(Mul(Num(x.exponent), _node(Pow(base, x.exponent - 1.0))))
+            out = _node(Mul(scale, inner))
+        else:
+            raise TypeError(f"not an Expr: {x!r}")
+        derivs[id(x)] = (x, out)
+        return out
+
+    return d(e)

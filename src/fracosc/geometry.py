@@ -33,6 +33,7 @@ merely within a tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .expr import (
     to_str,
 )
 from .expr import _collect as _collect_terms  # shared cancellation-aware collect
+from .expr import _node  # one simplify step over simplified children
 from .specfun import gamma
 
 __all__ = [
@@ -114,6 +116,12 @@ class ChartMap:
         env = self.env(point)
         return np.array([evaluate(c, env) for c in self.components])
 
+    @cached_property
+    def _prolongations(self) -> dict:
+        """Jet prolongations of this map by BundleSpec, filled by
+        :func:`fracosc.bundle.jet_transform`."""
+        return {}
+
 
 def weighted_jacobian_exprs(
     components: tuple[Expr, ...], source_vars: tuple[str, ...], alpha: float
@@ -123,15 +131,16 @@ def weighted_jacobian_exprs(
                   * source_vars[j]^(1-alpha).
 
     Works for any expressions whose classical partials exist in the language;
-    fractional weights make sense on the positive orthant only.
+    fractional weights make sense on the positive orthant only. Entries are
+    simplified; each component is simplified once.
     """
     out: list[list[Expr]] = []
     for comp in components:
+        weight = _node(Pow(simplify(comp), alpha - 1.0))
         row = []
         for v in source_vars:
             d = classical_partial(comp, v)
-            entry = Mul(Mul(Pow(comp, alpha - 1.0), d), Pow(Var(v), 1.0 - alpha))
-            row.append(simplify(entry))
+            row.append(_node(Mul(_node(Mul(weight, d)), _node(Pow(Var(v), 1.0 - alpha)))))
         out.append(row)
     return out
 

@@ -74,6 +74,7 @@ from .expr import (
     evaluate,
     frac_partial,
     normal_form,
+    normal_sum,
 )
 from .series import FracSeries
 from .specfun import gamma
@@ -116,13 +117,6 @@ def _partial(f: Expr, var: str, alpha: float, mode: str) -> Expr:
     raise DomainError(f"unknown derivative mode {mode!r}")
 
 
-def _sum(pieces) -> Expr:
-    out: Expr = Num(0.0)
-    for p in pieces:
-        out = Add(out, p)
-    return normal_form(out)
-
-
 def total_jet_derivative(
     spec: BundleSpec,
     f: Expr,
@@ -138,7 +132,7 @@ def total_jet_derivative(
         for i in range(spec.n):
             d = _partial(f, jet_var(i, b - 1), spec.alpha, mode)
             pieces.append(Mul(Var(jet_var(i, b)), d))
-    return _sum(pieces)
+    return normal_sum(pieces)
 
 
 def el_residual(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Expr, ...]:
@@ -150,7 +144,7 @@ def el_residual(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Ex
             inner = _partial(L, jet_var(i, a), spec.alpha, mode)
             term = total_jet_derivative(spec, inner, mode)
             pieces.append(Mul(Num((-1.0) ** a), term))
-        out.append(_sum(pieces))
+        out.append(normal_sum(pieces))
     return tuple(out)
 
 
@@ -171,7 +165,7 @@ def craig_synge_level(spec: BundleSpec, L: Expr, level: int) -> tuple[Expr, ...]
             term = total_jet_derivative(spec, inner, "fractional")
             scale = (-1.0) ** a / gamma(1.0 + spec.alpha * a)
             pieces.append(Mul(Num(scale), term))
-        out.append(_sum(pieces))
+        out.append(normal_sum(pieces))
     return tuple(out)
 
 
@@ -193,7 +187,7 @@ def craig_synge_closed_form(
         pieces = [lead, Neg(dragged)]
         for j in range(spec.n):
             pieces.append(Neg(Mul(fundamental[i][j], Var(jet_var(j, spec.k + 1)))))
-        out.append(_sum(pieces))
+        out.append(normal_sum(pieces))
     return tuple(out)
 
 
@@ -378,7 +372,7 @@ def alpha_square(spec: BundleSpec, diag_entries) -> Expr:
         Mul(Num(scale), Mul(g, Pow(Var(jet_var(i, 1)), 2.0 * spec.alpha)))
         for i, g in enumerate(diag_entries)
     ]
-    return _sum(pieces)
+    return normal_sum(pieces)
 
 
 def diagonal_inverse(spec: BundleSpec, rows):
@@ -429,12 +423,12 @@ def canonical_prolongation(spec: BundleSpec, rows, inverse_rows=None) -> Prolong
                 for s in range(n):
                     combo = Sub(Add(dgs[j][s][l], dgs[l][j][s]), dgs[s][j][l])
                     pieces.append(Mul(Num(0.5), Mul(ginv[i][s], combo)))
-                row.append(_sum(pieces))
+                row.append(normal_sum(pieces))
             mat.append(tuple(row))
         christoffels.append(tuple(mat))
     christoffels = tuple(christoffels)
     spray = tuple(
-        _sum(
+        normal_sum(
             Mul(
                 Num(0.5),
                 Mul(christoffels[i][p][m], Mul(Var(jet_var(p, 1)), Var(jet_var(m, 1)))),
@@ -446,7 +440,7 @@ def canonical_prolongation(spec: BundleSpec, rows, inverse_rows=None) -> Prolong
     )
     dual1 = tuple(
         tuple(
-            _sum(Mul(christoffels[i][j][m], Var(jet_var(m, 1))) for m in range(n))
+            normal_sum(Mul(christoffels[i][j][m], Var(jet_var(m, 1))) for m in range(n))
             for j in range(n)
         )
         for i in range(n)

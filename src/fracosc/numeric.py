@@ -122,6 +122,7 @@ def l1_derivative(values, alpha: float, h: float) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     j = np.arange(len(f) - 1, dtype=float)
     a = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+    a[:1] = 1.0  # a_0 = 1 - 0^(1-alpha) = 1, also at alpha = 1 where numpy takes 0^0 = 1
     return _history_sum(a, f, h**-alpha / gamma(2.0 - alpha))
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import _reference_builders as ref
 from fracosc.bundle import (
     BundleSpec,
     DualCoefficients,
@@ -32,7 +33,7 @@ from fracosc.bundle import (
 )
 from fracosc.errors import DomainError
 from fracosc.expr import evaluate, normal_form, parse, to_str
-from fracosc.geometry import ChartMap
+from fracosc.geometry import ChartMap, weighted_jacobian_exprs
 from fracosc.series import FracSeries
 from fracosc.specfun import gamma
 
@@ -156,6 +157,34 @@ def test_jet_round_trip(k, bound):
         jet_round_trip_residual(FWD, INV, spec, _jet(rng, 2, k)) for _ in range(25)
     )
     assert worst <= bound
+
+
+@pytest.mark.parametrize("comps", [("x1^2", "x1*x2"), ("x1^0.5", "x2/x1^0.5"),
+                                   ("2*x1 + x2", "(x1 + x2)^1.5 - 0.5*x2")])
+def test_prolongation_equals_the_tree_reference(comps):
+    cm = ChartMap(tuple(parse(c) for c in comps))
+    spec = BundleSpec(2, 2, 0.3)
+    # repr is the exact structure, signed zeros included
+    assert repr(jet_transform(cm, spec)) == repr(ref.jet_transform(cm, spec))
+    names = spec.all_names(1)
+    assert repr(weighted_jacobian_exprs(cm.components, names, 0.3)) == repr(
+        ref.weighted_jacobian_exprs(cm.components, names, 0.3))
+
+
+def test_prolongation_is_built_once_per_chart_and_spec():
+    cm = ChartMap((parse("x1^2"), parse("x1*x2")))
+    spec = BundleSpec(2, 2, 0.3)
+    first = jet_transform(cm, spec)
+    again = jet_transform(cm, spec)
+    assert again == first and again is not first
+    assert all(a is b for a, b in zip(again, first))  # the same built levels
+    first[1] = ()
+    first.append(())
+    assert jet_transform(cm, spec) == again  # the caller's list is its own
+    lower = jet_transform(cm, BundleSpec(2, 1, 0.3))  # another spec, own entry
+    assert len(lower) == 2 and lower == again[:2] and lower[1] is not again[1]
+    with pytest.raises(DomainError):
+        jet_transform(cm, BundleSpec(3, 2, 0.3))
 
 
 def test_jet_transform_functorial_under_composition():

@@ -293,3 +293,24 @@ def test_cli_import_does_not_load_numpy_fft():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "False"
+
+
+def test_deriv_l1_at_alpha_one_prints_the_backward_difference(capsys):
+    argv = ["deriv", "--expr", "t^2", "--alpha", "1", "--grid", "0:1:0.25", "--scheme", "l1"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if line and not line.startswith("#")][1:]
+    t, f, d = (np.array([float(r[c]) for r in rows]) for c in range(3))
+    np.testing.assert_allclose(t, [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_allclose(d, np.concatenate([[0.0], np.diff(f) / 0.25]), rtol=1e-14)
+
+
+@pytest.mark.parametrize("script", sorted(
+    (Path(__file__).resolve().parent.parent / "scripts").glob("*.py")), ids=lambda p: p.stem)
+def test_script_runs_to_completion(script):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -10,7 +10,7 @@ from fracosc.bundle import (
     JetPoint,
     PrimalCoefficients,
 )
-from fracosc.connection import MetricField, MetricalConnection, sasaki_lift
+from fracosc.connection import MetricField, MetricalConnection, _nabla_g_norm, sasaki_lift
 from fracosc.errors import DomainError
 from fracosc.expr import evaluate, parse, to_str
 from fracosc.specfun import gamma
@@ -196,3 +196,32 @@ def test_spec_mismatch_guard():
     )
     with pytest.raises(DomainError):
         MetricalConnection(SPEC22, g_other, _sample_primal(SPEC22))
+
+
+@pytest.mark.parametrize("metric", [BASE_DIAG, JET_FULL], ids=["base-diag", "jet-full"])
+def test_coefficients_are_bitwise_the_direct_evaluation(metric):
+    spec = SPEC22
+    conn = MetricalConnection(spec, metric, _sample_primal(spec))
+    env = _jet_env(np.random.default_rng(5), spec)
+    n = spec.n
+
+    def direct(delta):
+        Dg = np.empty((n, n, n))
+        for s in range(n):
+            for l in range(s, n):
+                for j in range(n):
+                    Dg[j, s, l] = Dg[j, l, s] = evaluate(delta(metric.entry(s, l), j), env)
+        return Dg
+
+    ginv = metric.inverse_at(env)
+    Dgs = [direct(conn.delta_x)] + [
+        direct(lambda g, j, a=a: conn.delta_y(g, a, j)) for a in range(1, spec.k + 1)
+    ]
+    for _ in range(2):  # the first call builds the derivations, the second reuses them
+        coeff = conn.coefficients_at(env)
+        assert np.array_equal(coeff.L, MetricalConnection._levi_civita(ginv, Dgs[0]))
+        for C, Dg in zip(coeff.C, Dgs[1:]):
+            assert np.array_equal(C, MetricalConnection._levi_civita(ginv, Dg))
+    g = metric.evaluate_at(env)
+    want = max(_nabla_g_norm(g, Dg, K) for Dg, K in zip(Dgs, (coeff.L,) + coeff.C))
+    assert conn.metricity_residual(env) == want

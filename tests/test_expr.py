@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import _reference_builders as ref
 from fracosc.errors import DomainError, EvalError, ParseError
 from fracosc.expr import (
     Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
@@ -229,3 +230,75 @@ def test_classical_partial_product_and_chain():
 def test_classical_partial_rejects_var_in_call():
     with pytest.raises(DomainError):
         classical_partial(parse("gamma(x1)"), "x1")
+
+
+def test_classical_partial_reports_the_leftmost_call_first():
+    for text, fn in (("gamma(x1)*ml(0.5, x1)", "gamma"), ("ml(0.5, x1)/gamma(x1) - x1", "ml")):
+        with pytest.raises(DomainError, match=rf"through {fn}\(") as err:
+            classical_partial(parse(text), "x1")
+        with pytest.raises(DomainError) as want:
+            ref.classical_partial(parse(text), "x1")
+        assert str(err.value) == str(want.value)
+
+
+# ------------------------------------- DAG builders against the tree reference
+
+_LEAF_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0]
+_BINARY = [Add, Sub, Mul, Div]
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from(_BINARY), children, children),
+        st.builds(Pow, children, st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, 3.0])),
+        # shared subtrees: one object reached along two paths
+        st.builds(lambda op, a: op(a, a), st.sampled_from(_BINARY), children),
+        st.builds(lambda a, b: Mul(Add(a, b), Sub(b, a)), children, children),
+        st.builds(lambda a: Call("gamma", (a,)), children),
+        st.builds(lambda a: Call("ml", (Num(0.5), a)), children),
+    )
+
+
+_trees = st.recursive(
+    st.one_of(st.sampled_from(_LEAF_VALUES).map(Num), st.sampled_from(["x", "y"]).map(Var)),
+    _extend, max_leaves=12)
+
+
+def _tree_size(e, memo=None) -> int:
+    """Node count of the unfolded tree (shared subtrees counted per path)."""
+    memo = {} if memo is None else memo
+    if id(e) not in memo:
+        kids = [getattr(e, f) for f in ("arg", "left", "right", "base") if hasattr(e, f)]
+        kids += list(getattr(e, "args", ()))
+        memo[id(e)] = 1 + sum(_tree_size(k, memo) for k in kids)
+    return memo[id(e)]
+
+
+def _partial_outcome(fn, e, var):
+    try:
+        return repr(fn(e, var))
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, st.sampled_from(["x", "y"]))
+def test_dag_builders_equal_the_tree_reference(e, var):
+    # repr is the exact structure, signed zeros included
+    assume(_tree_size(e) <= 150)
+    s = simplify(e)
+    assert repr(s) == repr(ref.simplify(e))
+    assert repr(simplify(s)) == repr(s)
+    assert _partial_outcome(classical_partial, e, var) == _partial_outcome(
+        ref.classical_partial, e, var)
+
+
+def test_builders_are_linear_in_the_shared_dag():
+    e = Add(Var("x"), Num(2.0))
+    for _ in range(40):
+        e = Mul(e, Sub(e, Var("y")))
+    # unfolded, e has more than 2^40 nodes; each distinct node is visited once
+    assert simplify(e) is e
+    d = classical_partial(e, "x")
+    assert simplify(d) is d

@@ -73,6 +73,14 @@ def test_l1_matches_power_rule_at_two_minus_alpha():
     assert abs(convergence_order(errs, hs) - (2.0 - alpha)) < 0.2
 
 
+def test_l1_at_alpha_one_is_the_backward_difference():
+    t = np.linspace(0.0, 1.0, 5)
+    got = l1_derivative(t**2, 1.0, 0.25)
+    want = np.concatenate([[0.0], np.diff(t**2) / 0.25])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+    assert np.array_equal(l1_derivative([2.5], 1.0, 0.1), [0.0])
+
+
 def test_gl_annihilates_constants_exactly():
     out = gl_derivative(np.full(64, 3.7), 0.5, 0.01)
     assert np.all(out == 0.0)
@@ -187,6 +195,7 @@ def _l1_direct(f, alpha, h):
     n = len(f) - 1
     j = np.arange(n, dtype=float)
     a = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+    a[:1] = 1.0  # a_0 = 1 at every order; numpy's 0**0 = 1 would zero it at alpha = 1
     out = np.zeros(n + 1)
     out[1:] = np.convolve(a, np.diff(f))[:n] * h**-alpha / gamma(2.0 - alpha)
     return out
@@ -230,7 +239,6 @@ def test_fft_history_sums_match_direct_sums(n, alpha):
         direct = _gl_direct(f, alpha, h, side)
         fast = gl_derivative(f, alpha, h, side)
         assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(np.abs(direct))
-    # at alpha = 1 both L1 sums are all zeros: a_0 = 1**0 - 0**0 = 0
     direct = _l1_direct(f, alpha, h)
     assert np.max(np.abs(l1_derivative(f, alpha, h) - direct)) <= 1e-10 * np.max(np.abs(direct))
 

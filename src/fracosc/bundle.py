@@ -67,15 +67,21 @@ from .expr import (
     Expr,
     Mul,
     Num,
+    Term,
     Var,
     classical_partial,
+    collect_terms,
     evaluate,
-    frac_partial,
+    expand_terms,
+    fold_terms,
+    frac_partial_terms,
+    multiply_terms,
     normal_form,
-    normal_sum,
+    normalize_terms,
     simplify,
+    simplify_node,
+    terms_to_expr,
 )
-from .expr import _node  # one simplify step over simplified children
 from .geometry import ChartMap, base_vars, require_invertible, weighted_jacobian_exprs
 from .series import FracSeries, frac_derive
 from .specfun import gamma
@@ -274,11 +280,7 @@ def tangent_structure_matrix(spec: BundleSpec) -> np.ndarray:
     return J
 
 
-def spray_field(
-    spec: BundleSpec,
-    G: tuple[Expr, ...],
-    convention: WeightConvention = WeightConvention.UNIFORM,
-) -> BundleField:
+def spray_field(spec: BundleSpec, G: tuple[Expr, ...]) -> BundleField:
     """Second-order-type field with coefficients G^i in the top slot:
     level a < k carries w_{a+1} y^{i(a+1)}, the top level carries -w_k G^i.
     The tangent shift maps any such field onto the top dilation field."""
@@ -295,11 +297,7 @@ def spray_field(
     return BundleField(spec, tuple(levels))
 
 
-def spray_derivation(
-    spec: BundleSpec,
-    G: tuple[Expr, ...],
-    convention: WeightConvention = WeightConvention.UNIFORM,
-):
+def spray_derivation(spec: BundleSpec, G: tuple[Expr, ...]):
     """The scalar derivation of the spray: fractional partials along the base
     (order alpha), classical partials along the fibre levels.
 
@@ -309,26 +307,30 @@ def spray_derivation(
     """
     if len(G) != spec.n:
         raise DomainError(f"spray needs {spec.n} coefficient expressions")
+    G_terms = [expand_terms(g) for g in G]
+    return lambda f: terms_to_expr(collect_terms(
+        _spray_terms(spec, G_terms, f, normalize_terms(f))))
 
-    def apply(f: Expr) -> Expr:
-        pieces: list[Expr] = []
-        for h in range(spec.n):
-            xh = f"x{h + 1}"
-            d = frac_partial(f, xh, spec.alpha)
-            pieces.append(Mul(Mul(Num(rung_weight(spec.alpha, 1)),
-                                  Var(f"y{h + 1}_1")), d))
-        for b in range(2, spec.k + 1):
-            w = rung_weight(spec.alpha, b)
-            for h in range(spec.n):
-                d = classical_partial(f, f"y{h + 1}_{b - 1}")
-                pieces.append(Mul(Mul(Num(w), Var(f"y{h + 1}_{b}")), d))
-        wk = rung_weight(spec.alpha, spec.k)
-        for h in range(spec.n):
-            d = classical_partial(f, f"y{h + 1}_{spec.k}")
-            pieces.append(Mul(Mul(Num(-wk), G[h]), d))
-        return normal_sum(pieces)
 
-    return apply
+def _spray_terms(spec: BundleSpec, G_terms, f: Expr, f_terms) -> list[Term]:
+    """The terms of S(f), uncollected, for G given by its expanded entries
+    and f by its Expr and its collected terms."""
+    alpha, n, k = spec.alpha, spec.n, spec.k
+    out = []
+    w1 = expand_terms(Num(rung_weight(alpha, 1)))
+    for h in range(n):
+        d = fold_terms(frac_partial_terms(f_terms, f"x{h + 1}", alpha))
+        out += multiply_terms(multiply_terms(w1, expand_terms(Var(f"y{h + 1}_1"))), d)
+    for b in range(2, k + 1):
+        w = expand_terms(Num(rung_weight(alpha, b)))
+        for h in range(n):
+            d = expand_terms(classical_partial(f, f"y{h + 1}_{b - 1}"))
+            out += multiply_terms(multiply_terms(w, expand_terms(Var(f"y{h + 1}_{b}"))), d)
+    wk = expand_terms(Num(-rung_weight(alpha, k)))
+    for h in range(n):
+        d = expand_terms(classical_partial(f, f"y{h + 1}_{k}"))
+        out += multiply_terms(multiply_terms(wk, G_terms[h]), d)
+    return out
 
 
 # ------------------------------------------------------------ jet transform --
@@ -363,7 +365,8 @@ def _prolong(cm: ChartMap, spec: BundleSpec) -> tuple[tuple[Expr, ...], ...]:
                 Jrow = weighted_jacobian_exprs((prev[i],), source_names, alpha)[0]
                 for j in range(spec.n):
                     y_b = Var(spec.y_names(b)[j])
-                    acc = _node(Add(acc, _node(Mul(Num(w_b / w_a), _node(Mul(Jrow[j], y_b))))))
+                    term = simplify_node(Mul(Num(w_b / w_a), simplify_node(Mul(Jrow[j], y_b))))
+                    acc = simplify_node(Add(acc, term))
             comps.append(acc)
         levels.append(tuple(comps))
     return tuple(levels)
@@ -394,89 +397,77 @@ def jet_round_trip_residual(
 # ------------------------------------------------- connection coefficients --
 
 
-def _expr_matrix_validate(mats, spec: BundleSpec):
-    if len(mats) != spec.k:
-        raise DomainError(f"need coefficient matrices for orders 1..{spec.k}")
-    for m in mats:
-        if len(m) != spec.n or any(len(row) != spec.n for row in m):
+@dataclass(frozen=True)
+class _Coefficients:
+    """Connection coefficient matrices of orders b = 1..k, each n x n."""
+
+    spec: BundleSpec
+    mats: tuple[tuple[tuple[Expr, ...], ...], ...]
+
+    def __post_init__(self):
+        if len(self.mats) != self.spec.k:
+            raise DomainError(f"need coefficient matrices for orders 1..{self.spec.k}")
+        n = self.spec.n
+        if any(len(m) != n or any(len(row) != n for row in m) for m in self.mats):
             raise DomainError("each coefficient matrix must be n x n")
 
+    def order(self, b: int):
+        return self.mats[b - 1]
 
-@dataclass(frozen=True)
-class PrimalCoefficients:
+
+class PrimalCoefficients(_Coefficients):
     """Adapted-frame (primal) coefficients N^{(b)}, b = 1..k; entry [m][j] is
     the Expr multiplying -D_{(a+b)m} inside delta_{(a)j}."""
 
-    spec: BundleSpec
-    mats: tuple[tuple[tuple[Expr, ...], ...], ...]
 
-    def __post_init__(self):
-        _expr_matrix_validate(self.mats, self.spec)
-
-    def order(self, b: int):
-        return self.mats[b - 1]
-
-
-@dataclass(frozen=True)
-class DualCoefficients:
+class DualCoefficients(_Coefficients):
     """Adapted-coframe (dual) coefficients M^{(b)}, b = 1..k."""
 
-    spec: BundleSpec
-    mats: tuple[tuple[tuple[Expr, ...], ...], ...]
 
-    def __post_init__(self):
-        _expr_matrix_validate(self.mats, self.spec)
-
-    def order(self, b: int):
-        return self.mats[b - 1]
+def _mat_mul(A, B, n: int) -> list:
+    """Entry term lists of the product of two n x n matrices of term sums:
+    entry (i, j) runs over l = 0..n-1 of the products A[i][l] B[l][j]."""
+    return [[[t for l in range(n) for t in multiply_terms(A[i][l], B[l][j])]
+             for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(A, B, n: int):
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc: Expr = Num(0.0)
-            for l in range(n):
-                acc = Add(acc, Mul(A[i][l], B[l][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def _fold_matrix(mat) -> tuple[tuple, list]:
+    """The Expr matrix of a matrix of collected term sums, and the terms that
+    expanding each of those Exprs gives back."""
+    exprs = tuple(tuple(terms_to_expr(c) for c in row) for row in mat)
+    return exprs, [[fold_terms(c) for c in row] for row in mat]
 
 
-def _mat_add(A, B, n: int, sign: float = 1.0):
-    return tuple(
-        tuple(Add(A[i][j], Mul(Num(sign), B[i][j])) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_normal(A, n: int):
-    return tuple(tuple(normal_form(A[i][j]) for j in range(n)) for i in range(n))
+def _triangular(given, n: int, sign: float, built_left: bool) -> tuple:
+    """Levels d = 1..k of X^{(d)} = Y^{(d)} + sign sum_{f<d} A^{(d-f)} B^{(f)}
+    for the given levels Y, where (A, B) = (X, Y) when ``built_left`` and
+    (Y, X) otherwise."""
+    given = [[[expand_terms(e) for e in row] for row in mat] for mat in given]
+    scale = expand_terms(Num(sign))
+    exprs: list = []
+    built: list = []
+    for d in range(1, len(given) + 1):
+        acc = [[list(terms) for terms in row] for row in given[d - 1]]
+        for f in range(1, d):
+            a, b = (built, given) if built_left else (given, built)
+            prod = _mat_mul(a[d - f - 1], b[f - 1], n)
+            for i in range(n):
+                for j in range(n):
+                    acc[i][j] += multiply_terms(scale, prod[i][j])
+        mat, terms = _fold_matrix([[collect_terms(t) for t in row] for row in acc])
+        exprs.append(mat)
+        built.append(terms)
+    return tuple(exprs)
 
 
 def primal_to_dual(N: PrimalCoefficients) -> DualCoefficients:
     """M^{(d)} = N^{(d)} + sum_{f=1}^{d-1} M^{(d-f)} N^{(f)} (exact)."""
-    n, k = N.spec.n, N.spec.k
-    M: list = []
-    for d in range(1, k + 1):
-        acc = N.order(d)
-        for f in range(1, d):
-            acc = _mat_add(acc, _mat_mul(M[d - f - 1], N.order(f), n), n)
-        M.append(_mat_normal(acc, n))
-    return DualCoefficients(N.spec, tuple(M))
+    return DualCoefficients(N.spec, _triangular(N.mats, N.spec.n, 1.0, True))
 
 
 def dual_to_primal(M: DualCoefficients) -> PrimalCoefficients:
     """Inverse of :func:`primal_to_dual`; exact by structural cancellation."""
-    n, k = M.spec.n, M.spec.k
-    N: list = []
-    for d in range(1, k + 1):
-        acc = M.order(d)
-        for f in range(1, d):
-            acc = _mat_add(acc, _mat_mul(M.order(d - f), N[f - 1], n), n, sign=-1.0)
-        N.append(_mat_normal(acc, n))
-    return PrimalCoefficients(M.spec, tuple(N))
+    return PrimalCoefficients(M.spec, _triangular(M.mats, M.spec.n, -1.0, False))
 
 
 def _eval_mat(mat, env, n: int) -> np.ndarray:
@@ -521,11 +512,7 @@ def pairing_residual(spec: BundleSpec, N: PrimalCoefficients, env: dict[str, flo
     return float(np.max(np.abs(D @ F.T - np.eye(spec.dim))))
 
 
-def spray_to_dual(
-    spec: BundleSpec,
-    G: tuple[Expr, ...],
-    convention: WeightConvention = WeightConvention.UNIFORM,
-) -> DualCoefficients:
+def spray_to_dual(spec: BundleSpec, G: tuple[Expr, ...]) -> DualCoefficients:
     """Dual coefficients generated by a spray:
 
         M^{(1)i}_j = d G^i / d y^{j(1)}            (classical fibre partial)
@@ -534,25 +521,21 @@ def spray_to_dual(
     with S the spray derivation (fractional along the base, classical along
     the fibres)."""
     n, alpha = spec.n, spec.alpha
-    S = spray_derivation(spec, G, convention)
-    M1 = tuple(
-        tuple(normal_form(classical_partial(G[i], f"y{j + 1}_1")) for j in range(n))
-        for i in range(n)
-    )
-    mats = [M1]
+    M1, M1_terms = _fold_matrix([
+        [normalize_terms(classical_partial(G[i], f"y{j + 1}_1")) for j in range(n)]
+        for i in range(n)])
+    mats, prev = [M1], M1_terms
+    G_terms = [expand_terms(g) for g in G] if spec.k > 1 else []  # S runs for k > 1 only
     for a in range(1, spec.k):
-        scale = gamma(alpha * a) / gamma(alpha * (a + 1))
-        prev = mats[-1]
-        derived = tuple(tuple(S(prev[i][j]) for j in range(n)) for i in range(n))
-        correction = _mat_mul(M1, prev, n)
-        nxt = tuple(
-            tuple(
-                normal_form(Mul(Num(scale), Add(derived[i][j], correction[i][j])))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        mats.append(nxt)
+        scale = expand_terms(Num(gamma(alpha * a) / gamma(alpha * (a + 1))))
+        derived = [[fold_terms(collect_terms(_spray_terms(
+                        spec, G_terms, mats[-1][i][j], collect_terms(prev[i][j]))))
+                    for j in range(n)] for i in range(n)]
+        correction = _mat_mul(M1_terms, prev, n)
+        mat, prev = _fold_matrix([
+            [collect_terms(multiply_terms(scale, derived[i][j] + correction[i][j]))
+             for j in range(n)] for i in range(n)])
+        mats.append(mat)
     return DualCoefficients(spec, tuple(mats))
 
 

@@ -40,7 +40,12 @@ from .errors import (
     SingularityError,
 )
 from .expr import Add, Mul, Num, Pow, Var, evaluate, normalize_terms, parse, to_str
-from .lagrange import el_residual, reference_problem_classical, reference_problem_fractional
+from .lagrange import (
+    el_residual,
+    reference_problem_classical,
+    reference_problem_fractional,
+    reference_residual,
+)
 from .numeric import gl_derivative, l1_derivative, solve_fode
 from .series import FracSeries, frac_derive
 
@@ -116,6 +121,8 @@ def cmd_deriv(args) -> int:
     else:
         if ts[0] != 0.0:
             raise ParseError("gl/l1 grids must start at the base point 0")
+        if len(ts) < 2:
+            raise ParseError("gl/l1 grids need at least two points")
         h = float(ts[1] - ts[0])
         if args.scheme == "gl":
             dvals = gl_derivative(values, alpha, h, side=args.side)
@@ -159,13 +166,13 @@ def _el_reference(cfg, sha, tol, out) -> int:
     samples = get_int(cfg, "el.samples", 25)
     seed = get_int(cfg, "el.seed", 7)
     rng = np.random.default_rng(seed)
-    E = el_residual(prob.spec, prob.lagrangian, prob.mode)[0]
+    prob.residual  # built up front, so a bad Lagrangian fails even with no samples
     worst = 0.0
     for _ in range(samples):
         env = {"x1": rng.uniform(0.5, 2.0)}
         for a in range(1, prob.spec.k + 2):
             env[f"y1_{a}"] = rng.uniform(0.5, 2.0)
-        worst = max(worst, abs(evaluate(E, env) - evaluate(prob.target, env)))
+        worst = max(worst, reference_residual(prob, env))
     payload = {
         "tool": "fracosc",
         "version": __version__,

@@ -20,6 +20,9 @@ compatibility identity (the adapted covariant derivative of g vanishing)
 holds algebraically for *any* choice of N; the computed residual only carries
 the rounding of the numeric matrix inversion.
 
+The derivations are built as term sums (:mod:`fracosc.expr`): f and each
+coefficient N are expanded once and each result is printed once.
+
 The lifted (diagonal-type) metric on the full bundle pairs the adapted
 coframe blocks with g on every level: in natural coordinates it is
 B^T blockdiag(g, ..., g) B for the coframe matrix B.
@@ -34,7 +37,21 @@ import numpy as np
 
 from .bundle import BundleSpec, DualCoefficients, PrimalCoefficients, dual_coframe
 from .errors import DomainError
-from .expr import Expr, Mul, Neg, evaluate, frac_partial, normal_form, normal_sum, to_str
+from .expr import (
+    Expr,
+    Term,
+    collect_terms,
+    evaluate,
+    expand_terms,
+    fold_terms,
+    frac_partial_terms,
+    multiply_terms,
+    negate_terms,
+    normal_form,
+    normalize_terms,
+    terms_to_expr,
+    to_str,
+)
 
 __all__ = [
     "MetricField",
@@ -122,27 +139,31 @@ class MetricalConnection:
 
     def delta_x(self, f: Expr, j: int) -> Expr:
         """Delta along the j-th base direction (0-indexed)."""
-        spec = self.spec
-        pieces = [frac_partial(f, f"x{j + 1}", spec.alpha)]
-        for b in range(1, spec.k + 1):
-            Nb = self.primal.order(b)
-            for m in range(spec.n):
-                d = frac_partial(f, f"y{m + 1}_{b}", spec.alpha)
-                pieces.append(Neg(Mul(Nb[m][j], d)))
-        return normal_sum(pieces)
+        return terms_to_expr(self._delta(normalize_terms(f), f"x{j + 1}", j, 0))
 
     def delta_y(self, f: Expr, a: int, i: int) -> Expr:
         """Delta along fibre direction y^{i(a)} (level a in 1..k, i 0-indexed)."""
+        if not (1 <= a <= self.spec.k):
+            raise DomainError(f"fibre level must be in 1..{self.spec.k}, got {a}")
+        return terms_to_expr(self._delta(normalize_terms(f), f"y{i + 1}_{a}", i, a))
+
+    @cached_property
+    def _primal_terms(self) -> tuple:
+        """The expanded primal coefficients, [b - 1][m][i] for N^{(b)m}_i."""
+        return tuple(tuple(tuple(expand_terms(e) for e in row) for row in mat)
+                     for mat in self.primal.mats)
+
+    def _delta(self, f: tuple[Term, ...], var: str, i: int, a: int) -> tuple[Term, ...]:
+        """Collected terms of D_var f - sum_{b,m} N^{(b)m}_i D_{y^{m(a+b)}} f
+        for f given by its collected terms: the derivation along the base
+        direction i when a = 0, along y^{i(a)} otherwise."""
         spec = self.spec
-        if not (1 <= a <= spec.k):
-            raise DomainError(f"fibre level must be in 1..{spec.k}, got {a}")
-        pieces = [frac_partial(f, f"y{i + 1}_{a}", spec.alpha)]
+        out = fold_terms(frac_partial_terms(f, var, spec.alpha))
         for b in range(1, spec.k - a + 1):
-            Nb = self.primal.order(b)
             for m in range(spec.n):
-                d = frac_partial(f, f"y{m + 1}_{a + b}", spec.alpha)
-                pieces.append(Neg(Mul(Nb[m][i], d)))
-        return normal_sum(pieces)
+                d = fold_terms(frac_partial_terms(f, f"y{m + 1}_{a + b}", spec.alpha))
+                out += negate_terms(multiply_terms(self._primal_terms[b - 1][m][i], d))
+        return collect_terms(out)
 
     # -- coefficients at a point ----------------------------------------------
 
@@ -150,15 +171,15 @@ class MetricalConnection:
     def _delta_metric(self) -> tuple[tuple[tuple[int, int, int, Expr], ...], ...]:
         """Adapted derivations of the metric, built once: entry 0 holds
         (j, s, l, Delta_{x_j} g_sl) and entry a holds (j, s, l,
-        Delta_{y^{j(a)}} g_sl) for s <= l."""
+        Delta_{y^{j(a)}} g_sl) for s <= l. Each entry is normalized once."""
         n, k = self.spec.n, self.spec.k
-        entries = [(s, l, self.metric.entry(s, l)) for s in range(n) for l in range(s, n)]
-        levels = [tuple((j, s, l, self.delta_x(g, j))
-                        for s, l, g in entries for j in range(n))]
-        for a in range(1, k + 1):
-            levels.append(tuple((j, s, l, self.delta_y(g, a, j))
-                                for s, l, g in entries for j in range(n)))
-        return tuple(levels)
+        entries = [(s, l, normalize_terms(self.metric.entry(s, l)))
+                   for s in range(n) for l in range(s, n)]
+        return tuple(
+            tuple((j, s, l, terms_to_expr(self._delta(g, var, j, a)))
+                  for s, l, g in entries
+                  for j, var in enumerate(self.spec.level_names(a)))
+            for a in range(k + 1))
 
     def _delta_metric_at(self, env) -> list[np.ndarray]:
         """Dg[j, s, l] at env for the base (first) and each fibre level;

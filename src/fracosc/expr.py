@@ -26,6 +26,12 @@ derivatives are exact there, with coefficients tracked as
 :class:`~fracosc.gammaledger.GammaProduct` so telescoped gamma ratios cancel
 structurally (bitwise) rather than merely to rounding.
 
+The geometry builders combine such term sums (:func:`expand_terms` each input
+once, then :func:`multiply_terms`, :func:`negate_terms`,
+:func:`frac_partial_terms`, concatenation, :func:`collect_terms`) and print
+each result once with :func:`terms_to_expr`; :func:`fold_terms` stands in for
+printing a piece and expanding it again.
+
 The fractional partial derivative along ``var`` follows the reviewed
 power-rule convention: terms free of ``var`` are annihilated, exponents in
 (0, alpha) are inadmissible (DomainError), and ``v^alpha -> Gamma(1+alpha)``.
@@ -36,18 +42,20 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, EvalError, ParseError
 from .gammaledger import GammaProduct
+from .series import EXP_SNAP
 from .specfun import gamma as _gamma_fn
 from .specfun import mittag_leffler as _ml_fn
 
 __all__ = [
     "Expr", "Num", "Var", "Call", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
-    "parse", "to_str", "evaluate", "free_vars", "simplify",
-    "Term", "normalize_terms", "terms_to_expr", "normal_form", "normal_sum",
-    "term_frac_partial", "frac_partial", "classical_partial",
+    "parse", "to_str", "evaluate", "free_vars", "simplify", "simplify_node",
+    "Term", "expand_terms", "collect_terms", "normalize_terms", "terms_to_expr",
+    "fold_terms", "multiply_terms", "negate_terms", "normal_form",
+    "term_frac_partial", "frac_partial_terms", "frac_partial", "classical_partial",
     "frac_partial_at", "is_monomial_in",
 ]
 
@@ -386,7 +394,7 @@ def simplify(e: Expr) -> Expr:
     gamma/ml calls are *not* folded (the term layer keeps them exact).
 
     Every output is a fixed point of the rules, so one bottom-up pass of
-    :func:`_node` suffices; shared subtrees are visited once per call."""
+    :func:`simplify_node` suffices; shared subtrees are visited once per call."""
     return _simplify(e, {})
 
 
@@ -401,20 +409,20 @@ def _simplify(e: Expr, memo: dict) -> Expr:
         out: Expr = Call(e.fn, tuple(_simplify(a, memo) for a in e.args))
     elif isinstance(e, Neg):
         a = _simplify(e.arg, memo)
-        out = _node(e if a is e.arg else Neg(a))
+        out = simplify_node(e if a is e.arg else Neg(a))
     elif isinstance(e, Pow):
         b = _simplify(e.base, memo)
-        out = _node(e if b is e.base else Pow(b, e.exponent))
+        out = simplify_node(e if b is e.base else Pow(b, e.exponent))
     elif isinstance(e, (Add, Sub, Mul, Div)):
         a, b = _simplify(e.left, memo), _simplify(e.right, memo)
-        out = _node(e if a is e.left and b is e.right else type(e)(a, b))
+        out = simplify_node(e if a is e.left and b is e.right else type(e)(a, b))
     else:
         raise TypeError(f"not an Expr: {e!r}")
     memo[id(e)] = (e, out)
     return out
 
 
-def _node(e: Expr) -> Expr:
+def simplify_node(e: Expr) -> Expr:
     """The rules of :func:`simplify` applied at the root of ``e`` only; the
     children of ``e`` must already be simplified."""
     if isinstance(e, (Num, Var, Call)):
@@ -453,7 +461,7 @@ def _node(e: Expr) -> Expr:
         if isinstance(a, Num) and isinstance(b, Num):
             return Num(a.value - b.value)
         if isinstance(a, Num) and a.value == 0.0:
-            return _node(Neg(b))
+            return simplify_node(Neg(b))
         return e
     if isinstance(e, Mul):
         if isinstance(a, Num):
@@ -567,7 +575,9 @@ def _term_invert(t: Term) -> Term | None:
     )
 
 
-def _normalize(e: Expr) -> list[Term]:
+def expand_terms(e: Expr) -> list[Term]:
+    """Distribute ``e`` into monomial terms, uncollected and in a fixed order.
+    Total: parts that do not decompose become opaque factors inside their term."""
     if isinstance(e, Num):
         return [] if e.value == 0.0 else [Term(GammaProduct.of(e.value))]
     if isinstance(e, Var):
@@ -576,31 +586,25 @@ def _normalize(e: Expr) -> list[Term]:
         if e.fn == "gamma" and isinstance(e.args[0], Num):
             return [Term(GammaProduct.of(1.0).times_ratio(e.args[0].value, 1.0))]
         if not free_vars(e):
-            return _normalize(Num(evaluate(e, {})))
+            return expand_terms(Num(evaluate(e, {})))
         return [Term(GammaProduct.of(1.0), (), ((e, 1.0),))]
     if isinstance(e, Neg):
-        return [Term(t.coeff.scaled(-1.0), t.powers, t.others) for t in _normalize(e.arg)]
+        return negate_terms(expand_terms(e.arg))
     if isinstance(e, Add):
-        return _normalize(e.left) + _normalize(e.right)
+        return expand_terms(e.left) + expand_terms(e.right)
     if isinstance(e, Sub):
-        return _normalize(e.left) + _normalize(Neg(e.right))
+        return expand_terms(e.left) + negate_terms(expand_terms(e.right))
     if isinstance(e, Mul):
-        out = []
-        right = _normalize(e.right)
-        for ta in _normalize(e.left):
-            for tb in right:
-                out.append(_term_mul(ta, tb))
-        return out
+        right = expand_terms(e.right)
+        return multiply_terms(expand_terms(e.left), right)
     if isinstance(e, Div):
-        dens = _normalize(e.right)
-        if len(dens) == 1:
-            inv = _term_invert(dens[0])
-            if inv is not None:
-                return [_term_mul(t, inv) for t in _normalize(e.left)]
-        opaque = Term(GammaProduct.of(1.0), (), ((simplify(e.right), -1.0),))
-        return [_term_mul(t, opaque) for t in _normalize(e.left)]
+        dens = expand_terms(e.right)
+        inv = _term_invert(dens[0]) if len(dens) == 1 else None
+        if inv is None:
+            inv = Term(GammaProduct.of(1.0), (), ((simplify(e.right), -1.0),))
+        return multiply_terms(expand_terms(e.left), [inv])
     if isinstance(e, Pow):
-        bases = _normalize(e.base)
+        bases = expand_terms(e.base)
         if len(bases) == 1:
             raised = _term_pow(bases[0], e.exponent)
             if raised is not None:
@@ -608,13 +612,23 @@ def _normalize(e: Expr) -> list[Term]:
         elif e.exponent == int(e.exponent) and 0 <= e.exponent <= 8:
             out = [_term_one()]
             for _ in range(int(e.exponent)):
-                out = [_term_mul(t, b) for t in out for b in bases]
+                out = multiply_terms(out, bases)
             return out
         return [Term(GammaProduct.of(1.0), (), ((simplify(e), 1.0),))]
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _collect(terms: Iterable[Term]) -> tuple[Term, ...]:
+def multiply_terms(a: Iterable[Term], b: Sequence[Term]) -> list[Term]:
+    """Distributed product of two term sums, in the order :func:`expand_terms`
+    distributes a product: each term of ``a`` times every term of ``b``."""
+    return [_term_mul(ta, tb) for ta in a for tb in b]
+
+
+def negate_terms(terms: Iterable[Term]) -> list[Term]:
+    return [Term(t.coeff.scaled(-1.0), t.powers, t.others) for t in terms]
+
+
+def collect_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
     """Group structurally identical monomials; coefficients with the same
     gamma ledger add exactly (so opposite pairs cancel to true zero)."""
     groups: dict = {}
@@ -641,9 +655,8 @@ def _collect(terms: Iterable[Term]) -> tuple[Term, ...]:
 
 
 def normalize_terms(e: Expr) -> tuple[Term, ...]:
-    """Full distribution of ``e`` into collected monomial terms. Total: parts
-    that do not decompose become opaque factors inside their term."""
-    return _collect(_normalize(e))
+    """Full distribution of ``e`` into collected monomial terms."""
+    return collect_terms(expand_terms(e))
 
 
 def terms_to_expr(terms: Iterable[Term]) -> Expr:
@@ -673,22 +686,26 @@ def terms_to_expr(terms: Iterable[Term]) -> Expr:
     return out
 
 
+def fold_terms(terms: Iterable[Term]) -> list[Term]:
+    """``expand_terms(terms_to_expr(terms))``: ledgers fold to floats and zero
+    terms drop out. Only terms with opaque factors take the Expr round trip,
+    which can re-key them (``(den, -1.0)`` comes back as ``(den^-1, 1.0)``)."""
+    out: list[Term] = []
+    for t in terms:
+        if t.others:
+            out += expand_terms(terms_to_expr((t,)))
+            continue
+        c = t.coeff.value()
+        if c != 0.0:
+            out.append(Term(GammaProduct.of(c), t.powers))
+    return out
+
+
 def normal_form(e: Expr) -> Expr:
     """Distribute, collect, cancel, rebuild. Deterministic canonical sum."""
     return terms_to_expr(normalize_terms(e))
 
-
-def normal_sum(pieces: Iterable[Expr]) -> Expr:
-    """Normal form of the sum of ``pieces`` (``Num(0.0)`` for none)."""
-    out: Expr = Num(0.0)
-    for p in pieces:
-        out = Add(out, p)
-    return normal_form(out)
-
 # ------------------------------------------------------ fractional partials --
-
-#: exponent snap width shared with the series layer
-_EXP_SNAP = 1e-12
 
 
 def term_frac_partial(t: Term, var: str, alpha: float) -> Term | None:
@@ -705,11 +722,11 @@ def term_frac_partial(t: Term, var: str, alpha: float) -> Term | None:
     p = t.power_of(var)
     if p == 0.0:
         return None
-    if p < alpha - _EXP_SNAP:
+    if p < alpha - EXP_SNAP:
         raise DomainError(
             f"exponent {p} of {var!r} below derivative order {alpha}: inadmissible")
     new_p = p - alpha
-    if abs(new_p) < _EXP_SNAP:
+    if abs(new_p) < EXP_SNAP:
         new_p = 0.0
     coeff = t.coeff.times_ratio(1.0 + p, 1.0 + new_p)
     powers = tuple(
@@ -720,14 +737,16 @@ def term_frac_partial(t: Term, var: str, alpha: float) -> Term | None:
     return Term(coeff, powers, t.others)
 
 
+def frac_partial_terms(terms: Iterable[Term], var: str, alpha: float) -> tuple[Term, ...]:
+    """Reviewed fractional partial of a term sum along ``var``, collected with
+    the gamma ledgers kept (DomainError off the monomial fragment)."""
+    parts = [term_frac_partial(t, var, alpha) for t in terms]
+    return collect_terms(d for d in parts if d is not None)
+
+
 def frac_partial(e: Expr, var: str, alpha: float) -> Expr:
     """Exact fractional partial on the monomial fragment (DomainError off it)."""
-    out = []
-    for t in normalize_terms(e):
-        d = term_frac_partial(t, var, alpha)
-        if d is not None:
-            out.append(d)
-    return terms_to_expr(_collect(out))
+    return terms_to_expr(frac_partial_terms(normalize_terms(e), var, alpha))
 
 
 def is_monomial_in(e: Expr, var: str) -> bool:
@@ -755,6 +774,8 @@ def frac_partial_at(e: Expr, var: str, alpha: float, env: dict[str, float],
         pass
     from .numeric import gl_derivative  # local import: numeric is expr-free
 
+    if var not in env:
+        raise EvalError(f"unbound variable {var!r}")
     T = env[var]
     if T <= 0:
         raise DomainError(f"numeric fractional partial needs {var!r} > 0 at the point")
@@ -777,6 +798,7 @@ def classical_partial(e: Expr, var: str) -> Expr:
     The result is simplified. Each distinct node of ``e`` is differentiated
     and simplified once, so the cost is linear in the size of the shared
     expression DAG; the left operand is differentiated before the right."""
+    step = simplify_node  # one rewrite at the root
     derivs: dict = {}  # id(node) -> (node, derivative)
     operands: dict = {}  # the simplify memo for operands copied into products
 
@@ -794,24 +816,24 @@ def classical_partial(e: Expr, var: str) -> Expr:
                     f"classical_partial cannot differentiate through {x.fn}(...) in {var!r}")
             out = Num(0.0)
         elif isinstance(x, Neg):
-            out = _node(Neg(d(x.arg)))
+            out = step(Neg(d(x.arg)))
         elif isinstance(x, Add):
-            out = _node(Add(d(x.left), d(x.right)))
+            out = step(Add(d(x.left), d(x.right)))
         elif isinstance(x, Sub):
-            out = _node(Sub(d(x.left), d(x.right)))
+            out = step(Sub(d(x.left), d(x.right)))
         elif isinstance(x, (Mul, Div)):
             dl, dr = d(x.left), d(x.right)
             left, right = _simplify(x.left, operands), _simplify(x.right, operands)
             if isinstance(x, Mul):
-                out = _node(Add(_node(Mul(dl, right)), _node(Mul(left, dr))))
+                out = step(Add(step(Mul(dl, right)), step(Mul(left, dr))))
             else:
-                num = _node(Sub(_node(Mul(dl, right)), _node(Mul(left, dr))))
-                out = _node(Div(num, _node(Pow(right, 2.0))))
+                num = step(Sub(step(Mul(dl, right)), step(Mul(left, dr))))
+                out = step(Div(num, step(Pow(right, 2.0))))
         elif isinstance(x, Pow):
             inner = d(x.base)
             base = _simplify(x.base, operands)
-            scale = _node(Mul(Num(x.exponent), _node(Pow(base, x.exponent - 1.0))))
-            out = _node(Mul(scale, inner))
+            scale = step(Mul(Num(x.exponent), step(Pow(base, x.exponent - 1.0))))
+            out = step(Mul(scale, inner))
         else:
             raise TypeError(f"not an Expr: {x!r}")
         derivs[id(x)] = (x, out)

@@ -41,21 +41,22 @@ from .errors import DomainError, SingularityError
 from .expr import (
     Expr,
     Mul,
-    Num,
     Pow,
     Term,
     Var,
     classical_partial,
+    collect_terms,
     evaluate,
+    frac_partial_terms,
     free_vars,
+    negate_terms,
     normalize_terms,
     simplify,
+    simplify_node,
     term_frac_partial,
     terms_to_expr,
     to_str,
 )
-from .expr import _collect as _collect_terms  # shared cancellation-aware collect
-from .expr import _node  # one simplify step over simplified children
 from .specfun import gamma
 
 __all__ = [
@@ -136,11 +137,12 @@ def weighted_jacobian_exprs(
     """
     out: list[list[Expr]] = []
     for comp in components:
-        weight = _node(Pow(simplify(comp), alpha - 1.0))
+        weight = simplify_node(Pow(simplify(comp), alpha - 1.0))
         row = []
         for v in source_vars:
             d = classical_partial(comp, v)
-            row.append(_node(Mul(_node(Mul(weight, d)), _node(Pow(Var(v), 1.0 - alpha)))))
+            scaled = simplify_node(Mul(weight, d))
+            row.append(simplify_node(Mul(scaled, simplify_node(Pow(Var(v), 1.0 - alpha)))))
         out.append(row)
     return out
 
@@ -269,25 +271,12 @@ class FracTwoForm:
         return all(not terms for _, _, terms in self.components)
 
 
-def _partial_terms(terms, var: str, alpha: float) -> tuple[Term, ...]:
-    out = []
-    for t in terms:
-        d = term_frac_partial(t, var, alpha)
-        if d is not None:
-            out.append(d)
-    return _collect_terms(out)
-
-
 def frac_exterior_d0(f: Expr, n: int, alpha: float) -> FracOneForm:
     """Fractional differential of a 0-form on the monomial fragment:
     component i is the order-alpha partial along x(i+1)."""
     terms = normalize_terms(f)
-    comps = tuple(_partial_terms(terms, v, alpha) for v in base_vars(n))
+    comps = tuple(frac_partial_terms(terms, v, alpha) for v in base_vars(n))
     return FracOneForm(alpha, comps)
-
-
-def _negate(terms) -> list[Term]:
-    return [Term(t.coeff.scaled(-1.0), t.powers, t.others) for t in terms]
 
 
 def frac_exterior_d1(omega: FracOneForm) -> FracTwoForm:
@@ -302,7 +291,7 @@ def frac_exterior_d1(omega: FracOneForm) -> FracTwoForm:
     comps = []
     for i in range(omega.n):
         for j in range(i + 1, omega.n):
-            terms = list(_partial_terms(omega.components[j], names[i], omega.alpha))
-            terms += _negate(_partial_terms(omega.components[i], names[j], omega.alpha))
-            comps.append((i, j, _collect_terms(terms)))
+            terms = list(frac_partial_terms(omega.components[j], names[i], omega.alpha))
+            terms += negate_terms(frac_partial_terms(omega.components[i], names[j], omega.alpha))
+            comps.append((i, j, collect_terms(terms)))
     return FracTwoForm(omega.alpha, omega.n, tuple(comps))

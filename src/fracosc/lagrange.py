@@ -50,13 +50,15 @@ of a Lagrangian, classical by default (``semantics="hybrid"``) or fractional
 the matched energy (:func:`alpha_square`) reproduces g exactly, so the three
 prolongations agree there; symbolic inversion is only provided for
 structurally diagonal fundamental tensors.
+
+All of these builders combine term sums (:mod:`fracosc.expr`): each input is
+expanded once and each returned entry is printed to an Expr once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .bundle import BundleSpec, jet_lift
 from .errors import DomainError
@@ -69,12 +71,19 @@ from .expr import (
     Num,
     Pow,
     Sub,
+    Term,
     Var,
     classical_partial,
+    collect_terms,
     evaluate,
-    frac_partial,
+    expand_terms,
+    fold_terms,
+    frac_partial_terms,
+    multiply_terms,
+    negate_terms,
     normal_form,
-    normal_sum,
+    normalize_terms,
+    terms_to_expr,
 )
 from .series import FracSeries
 from .specfun import gamma
@@ -109,12 +118,55 @@ def jet_var(i: int, level: int) -> str:
     return f"x{i + 1}" if level == 0 else f"y{i + 1}_{level}"
 
 
-def _partial(f: Expr, var: str, alpha: float, mode: str) -> Expr:
+def _source(f: Expr, mode: str):
+    """``f`` in the form the partials of ``mode`` take: its collected terms
+    for fractional partials, the Expr itself for classical ones."""
     if mode == "fractional":
-        return frac_partial(f, var, alpha)
+        return normalize_terms(f)
     if mode == "classical":
-        return classical_partial(f, var)
+        return f
     raise DomainError(f"unknown derivative mode {mode!r}")
+
+
+def _partial(f, var: str, alpha: float, mode: str) -> list[Term]:
+    """The terms of the partial of ``f`` (in :func:`_source` form) along
+    ``var``: what expanding the partial's Expr gives."""
+    if mode == "fractional":
+        return fold_terms(frac_partial_terms(f, var, alpha))
+    return expand_terms(classical_partial(f, var))
+
+
+def _derive(f, var: str, alpha: float, mode: str):
+    """The partial of ``f`` along ``var``, again in :func:`_source` form."""
+    if mode == "fractional":
+        return collect_terms(_partial(f, var, alpha, mode))
+    return classical_partial(f, var)
+
+
+def _scaled(c: float, terms: list[Term]) -> list[Term]:
+    return multiply_terms(expand_terms(Num(c)), terms)
+
+
+def _sum(terms) -> Expr:
+    return terms_to_expr(collect_terms(terms))
+
+
+def _jet_terms(spec: BundleSpec, f, mode: str, levels: int | None = None) -> tuple[Term, ...]:
+    """Collected terms of d_t f for f in :func:`_source` form."""
+    levels = spec.k + 1 if levels is None else levels
+    out = []
+    for b in range(1, levels + 1):
+        for i in range(spec.n):
+            d = _partial(f, jet_var(i, b - 1), spec.alpha, mode)
+            out += multiply_terms(expand_terms(Var(jet_var(i, b))), d)
+    return collect_terms(out)
+
+
+def _dragged(spec: BundleSpec, L, i: int, a: int, mode: str,
+             levels: int | None = None) -> list[Term]:
+    """The terms of d_t(d_{y^{i(a)}} L) for L in :func:`_source` form."""
+    inner = _derive(L, jet_var(i, a), spec.alpha, mode)
+    return fold_terms(_jet_terms(spec, inner, mode, levels))
 
 
 def total_jet_derivative(
@@ -126,25 +178,18 @@ def total_jet_derivative(
     """Single application of d_t = sum_{i,b} y^{i(b)} d_{y^{i(b-1)}}, with b
     running to ``levels`` (default k+1, the overshoot needed by the
     Euler-Lagrange residual)."""
-    levels = spec.k + 1 if levels is None else levels
-    pieces = []
-    for b in range(1, levels + 1):
-        for i in range(spec.n):
-            d = _partial(f, jet_var(i, b - 1), spec.alpha, mode)
-            pieces.append(Mul(Var(jet_var(i, b)), d))
-    return normal_sum(pieces)
+    return terms_to_expr(_jet_terms(spec, _source(f, mode), mode, levels))
 
 
 def el_residual(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Expr, ...]:
     """Euler-Lagrange residual components E_i (zero along extremal jets)."""
+    src = _source(L, mode)
     out = []
     for i in range(spec.n):
-        pieces = [_partial(L, jet_var(i, 0), spec.alpha, mode)]
+        terms = _partial(src, jet_var(i, 0), spec.alpha, mode)
         for a in range(1, spec.k + 1):
-            inner = _partial(L, jet_var(i, a), spec.alpha, mode)
-            term = total_jet_derivative(spec, inner, mode)
-            pieces.append(Mul(Num((-1.0) ** a), term))
-        out.append(normal_sum(pieces))
+            terms += _scaled((-1.0) ** a, _dragged(spec, src, i, a, mode))
+        out.append(_sum(terms))
     return tuple(out)
 
 
@@ -155,17 +200,16 @@ def craig_synge_level(spec: BundleSpec, L: Expr, level: int) -> tuple[Expr, ...]
     """Graded covector component at the given level (0..k), fractional mode."""
     if not (0 <= level <= spec.k):
         raise DomainError(f"ladder level must be in 0..{spec.k}, got {level}")
+    src = normalize_terms(L)
     out = []
     for i in range(spec.n):
-        pieces = []
+        terms = []
         if level == 0:
-            pieces.append(frac_partial(L, jet_var(i, 0), spec.alpha))
+            terms += _partial(src, jet_var(i, 0), spec.alpha, "fractional")
         for a in range(max(level, 1), spec.k + 1):
-            inner = frac_partial(L, jet_var(i, a), spec.alpha)
-            term = total_jet_derivative(spec, inner, "fractional")
             scale = (-1.0) ** a / gamma(1.0 + spec.alpha * a)
-            pieces.append(Mul(Num(scale), term))
-        out.append(normal_sum(pieces))
+            terms += _scaled(scale, _dragged(spec, src, i, a, "fractional"))
+        out.append(_sum(terms))
     return tuple(out)
 
 
@@ -179,15 +223,15 @@ def craig_synge_closed_form(
     with the total derivative truncated to levels <= k and g the fundamental
     tensor. Disagrees with the ladder on quadratic Lagrangians; see
     :func:`covector_gap`."""
+    src = normalize_terms(L)
     out = []
     for i in range(spec.n):
-        lead = frac_partial(L, jet_var(i, spec.k - 1), spec.alpha)
-        inner = frac_partial(L, jet_var(i, spec.k), spec.alpha)
-        dragged = total_jet_derivative(spec, inner, "fractional", levels=spec.k)
-        pieces = [lead, Neg(dragged)]
+        terms = _partial(src, jet_var(i, spec.k - 1), spec.alpha, "fractional")
+        terms += negate_terms(_dragged(spec, src, i, spec.k, "fractional", spec.k))
         for j in range(spec.n):
-            pieces.append(Neg(Mul(fundamental[i][j], Var(jet_var(j, spec.k + 1)))))
-        out.append(normal_sum(pieces))
+            top = expand_terms(Var(jet_var(j, spec.k + 1)))
+            terms += negate_terms(multiply_terms(expand_terms(fundamental[i][j]), top))
+        out.append(_sum(terms))
     return tuple(out)
 
 
@@ -267,6 +311,11 @@ class ReferenceProblem:
     target: Expr
     mode: str
 
+    @cached_property
+    def residual(self) -> tuple[Expr, ...]:
+        """The Euler-Lagrange residual of the Lagrangian, built once."""
+        return el_residual(self.spec, self.lagrangian, self.mode)
+
 
 def _reference_target(alpha: float, power: float, c: float, coeffs) -> Expr:
     lead = c * gamma(1.0 + power) / gamma(1.0 + power - alpha)
@@ -334,9 +383,8 @@ def reference_problem_classical(
 
 def reference_residual(problem: ReferenceProblem, env: dict[str, float]) -> float:
     """|E(env) - target(env)| for the problem's single coordinate."""
-    E = el_residual(problem.spec, problem.lagrangian, problem.mode)
     return max(
-        abs(evaluate(e, env) - evaluate(problem.target, env)) for e in E
+        abs(evaluate(e, env) - evaluate(problem.target, env)) for e in problem.residual
     )
 
 
@@ -346,18 +394,15 @@ def reference_residual(problem: ReferenceProblem, env: dict[str, float]) -> floa
 def fundamental_tensor(spec: BundleSpec, L: Expr, semantics: str = "classical"):
     """Half the level-1 fibre Hessian of L: classical partials or reviewed
     fractional partials depending on ``semantics``."""
-    mode = {"classical": "classical", "fractional": "fractional"}.get(semantics)
-    if mode is None:
+    if semantics not in ("classical", "fractional"):
         raise DomainError(f"unknown Hessian semantics {semantics!r}")
-    n = spec.n
+    src = _source(L, semantics)
     rows = []
-    for i in range(n):
-        di = _partial(L, jet_var(i, 1), spec.alpha, mode)
-        row = []
-        for j in range(n):
-            dij = _partial(di, jet_var(j, 1), spec.alpha, mode)
-            row.append(normal_form(Mul(Num(0.5), dij)))
-        rows.append(tuple(row))
+    for i in range(spec.n):
+        di = _derive(src, jet_var(i, 1), spec.alpha, semantics)
+        rows.append(tuple(
+            _sum(_scaled(0.5, _partial(di, jet_var(j, 1), spec.alpha, semantics)))
+            for j in range(spec.n)))
     return tuple(rows)
 
 
@@ -368,11 +413,11 @@ def alpha_square(spec: BundleSpec, diag_entries) -> Expr:
     if len(diag_entries) != spec.n:
         raise DomainError(f"need {spec.n} diagonal entries")
     scale = 2.0 / gamma(1.0 + 2.0 * spec.alpha)
-    pieces = [
-        Mul(Num(scale), Mul(g, Pow(Var(jet_var(i, 1)), 2.0 * spec.alpha)))
-        for i, g in enumerate(diag_entries)
-    ]
-    return normal_sum(pieces)
+    terms = []
+    for i, g in enumerate(diag_entries):
+        power = expand_terms(Pow(Var(jet_var(i, 1)), 2.0 * spec.alpha))
+        terms += _scaled(scale, multiply_terms(expand_terms(g), power))
+    return _sum(terms)
 
 
 def diagonal_inverse(spec: BundleSpec, rows):
@@ -407,44 +452,32 @@ class Prolongation:
 
 def canonical_prolongation(spec: BundleSpec, rows, inverse_rows=None) -> Prolongation:
     n, alpha = spec.n, spec.alpha
+    # the printed inverse is expanded: for a non-monomial diagonal it holds the
+    # opaque factor den^-1, which the terms of 1/den would key as (den, -1)
     ginv = diagonal_inverse(spec, rows) if inverse_rows is None else inverse_rows
-    dgs = [
-        [[frac_partial(rows[s][l], f"x{j + 1}", alpha) for l in range(n)]
-         for s in range(n)]
-        for j in range(n)
-    ]
-    christoffels = []
-    for i in range(n):
-        mat = []
-        for j in range(n):
-            row = []
-            for l in range(n):
-                pieces = []
-                for s in range(n):
-                    combo = Sub(Add(dgs[j][s][l], dgs[l][j][s]), dgs[s][j][l])
-                    pieces.append(Mul(Num(0.5), Mul(ginv[i][s], combo)))
-                row.append(normal_sum(pieces))
-            mat.append(tuple(row))
-        christoffels.append(tuple(mat))
-    christoffels = tuple(christoffels)
+    ginv = [[expand_terms(e) for e in row] for row in ginv]
+    g = [[normalize_terms(e) for e in row] for row in rows]
+    dg = [[[fold_terms(frac_partial_terms(e, f"x{j + 1}", alpha)) for e in row] for row in g]
+          for j in range(n)]
+
+    def christoffel(i: int, j: int, l: int) -> tuple[Term, ...]:
+        return collect_terms(
+            t for s in range(n) for t in _scaled(0.5, multiply_terms(
+                ginv[i][s], dg[j][s][l] + dg[l][j][s] + negate_terms(dg[s][j][l]))))
+
+    gam = [[[christoffel(i, j, l) for l in range(n)] for j in range(n)] for i in range(n)]
+    folded = [[[fold_terms(c) for c in row] for row in mat] for mat in gam]
+    y = [expand_terms(Var(jet_var(m, 1))) for m in range(n)]
     spray = tuple(
-        normal_sum(
-            Mul(
-                Num(0.5),
-                Mul(christoffels[i][p][m], Mul(Var(jet_var(p, 1)), Var(jet_var(m, 1)))),
-            )
-            for p in range(n)
-            for m in range(n)
-        )
-        for i in range(n)
-    )
+        _sum(t for p in range(n) for m in range(n)
+             for t in _scaled(0.5, multiply_terms(folded[i][p][m], multiply_terms(y[p], y[m]))))
+        for i in range(n))
     dual1 = tuple(
-        tuple(
-            normal_sum(Mul(christoffels[i][j][m], Var(jet_var(m, 1))) for m in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+        tuple(_sum(t for m in range(n) for t in multiply_terms(folded[i][j][m], y[m]))
+              for j in range(n))
+        for i in range(n))
+    christoffels = tuple(tuple(tuple(terms_to_expr(c) for c in row) for row in mat)
+                         for mat in gam)
     return Prolongation(spec, tuple(tuple(r) for r in rows), christoffels, spray, dual1)
 
 

@@ -1,17 +1,24 @@
-"""Reference copies of the original tree-recursive symbolic builders.
+"""Reference copies of the original symbolic builders.
 
 ``simplify`` here re-simplifies whole subtrees and ``classical_partial``
 simplifies at every recursion level, so both cost far more than the library
-versions on large or shared expressions. They are kept only as the oracle
-that the library's DAG-linear builders must reproduce exactly (``==``, and
+versions on large or shared expressions. The geometry builders below
+(adapted derivations, Euler-Lagrange residuals, spray and connection
+coefficients, prolongations) combine their pieces as Exprs and take the
+normal form of the whole sum, re-distributing every piece. They are kept only
+as the oracle that the library's builders must reproduce exactly (``==``, and
 the same printed form including signed zeros).
 """
 
-from fracosc.bundle import rung_weight
+from fracosc.bundle import DualCoefficients, PrimalCoefficients, rung_weight
 from fracosc.errors import DomainError, EvalError
 from fracosc.expr import (
-    Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, _pow_value, free_vars,
+    Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, _pow_value, frac_partial, free_vars,
+    normal_form,
 )
+from fracosc.expr import classical_partial as lib_classical_partial
+from fracosc.lagrange import Prolongation, jet_var
+from fracosc.specfun import gamma
 
 
 def simplify(e):
@@ -144,3 +151,240 @@ def jet_transform(cm, spec):
             comps.append(simplify(acc))
         levels.append(tuple(comps))
     return levels
+
+
+# ------------------------------------------------ normal form of Expr sums --
+
+
+def normal_sum(pieces):
+    out = Num(0.0)
+    for p in pieces:
+        out = Add(out, p)
+    return normal_form(out)
+
+
+def delta_x(conn, f, j):
+    spec = conn.spec
+    pieces = [frac_partial(f, f"x{j + 1}", spec.alpha)]
+    for b in range(1, spec.k + 1):
+        Nb = conn.primal.order(b)
+        for m in range(spec.n):
+            d = frac_partial(f, f"y{m + 1}_{b}", spec.alpha)
+            pieces.append(Neg(Mul(Nb[m][j], d)))
+    return normal_sum(pieces)
+
+
+def delta_y(conn, f, a, i):
+    spec = conn.spec
+    pieces = [frac_partial(f, f"y{i + 1}_{a}", spec.alpha)]
+    for b in range(1, spec.k - a + 1):
+        Nb = conn.primal.order(b)
+        for m in range(spec.n):
+            d = frac_partial(f, f"y{m + 1}_{a + b}", spec.alpha)
+            pieces.append(Neg(Mul(Nb[m][i], d)))
+    return normal_sum(pieces)
+
+
+def _partial(f, var, alpha, mode):
+    if mode == "fractional":
+        return frac_partial(f, var, alpha)
+    return lib_classical_partial(f, var)
+
+
+def total_jet_derivative(spec, f, mode="fractional", levels=None):
+    levels = spec.k + 1 if levels is None else levels
+    pieces = []
+    for b in range(1, levels + 1):
+        for i in range(spec.n):
+            d = _partial(f, jet_var(i, b - 1), spec.alpha, mode)
+            pieces.append(Mul(Var(jet_var(i, b)), d))
+    return normal_sum(pieces)
+
+
+def el_residual(spec, L, mode="fractional"):
+    out = []
+    for i in range(spec.n):
+        pieces = [_partial(L, jet_var(i, 0), spec.alpha, mode)]
+        for a in range(1, spec.k + 1):
+            inner = _partial(L, jet_var(i, a), spec.alpha, mode)
+            term = total_jet_derivative(spec, inner, mode)
+            pieces.append(Mul(Num((-1.0) ** a), term))
+        out.append(normal_sum(pieces))
+    return tuple(out)
+
+
+def craig_synge_level(spec, L, level):
+    out = []
+    for i in range(spec.n):
+        pieces = []
+        if level == 0:
+            pieces.append(frac_partial(L, jet_var(i, 0), spec.alpha))
+        for a in range(max(level, 1), spec.k + 1):
+            inner = frac_partial(L, jet_var(i, a), spec.alpha)
+            term = total_jet_derivative(spec, inner, "fractional")
+            scale = (-1.0) ** a / gamma(1.0 + spec.alpha * a)
+            pieces.append(Mul(Num(scale), term))
+        out.append(normal_sum(pieces))
+    return tuple(out)
+
+
+def craig_synge_closed_form(spec, L, fundamental):
+    out = []
+    for i in range(spec.n):
+        lead = frac_partial(L, jet_var(i, spec.k - 1), spec.alpha)
+        inner = frac_partial(L, jet_var(i, spec.k), spec.alpha)
+        dragged = total_jet_derivative(spec, inner, "fractional", levels=spec.k)
+        pieces = [lead, Neg(dragged)]
+        for j in range(spec.n):
+            pieces.append(Neg(Mul(fundamental[i][j], Var(jet_var(j, spec.k + 1)))))
+        out.append(normal_sum(pieces))
+    return tuple(out)
+
+
+def fundamental_tensor(spec, L, semantics="classical"):
+    rows = []
+    for i in range(spec.n):
+        di = _partial(L, jet_var(i, 1), spec.alpha, semantics)
+        row = []
+        for j in range(spec.n):
+            dij = _partial(di, jet_var(j, 1), spec.alpha, semantics)
+            row.append(normal_form(Mul(Num(0.5), dij)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def alpha_square(spec, diag_entries):
+    scale = 2.0 / gamma(1.0 + 2.0 * spec.alpha)
+    return normal_sum(
+        Mul(Num(scale), Mul(g, Pow(Var(jet_var(i, 1)), 2.0 * spec.alpha)))
+        for i, g in enumerate(diag_entries)
+    )
+
+
+def diagonal_inverse(spec, rows):
+    n = spec.n
+    return tuple(
+        tuple(normal_form(Div(Num(1.0), rows[i][i])) if i == j else Num(0.0)
+              for j in range(n))
+        for i in range(n)
+    )
+
+
+def canonical_prolongation(spec, rows, inverse_rows=None):
+    n, alpha = spec.n, spec.alpha
+    ginv = diagonal_inverse(spec, rows) if inverse_rows is None else inverse_rows
+    dgs = [[[frac_partial(rows[s][l], f"x{j + 1}", alpha) for l in range(n)]
+            for s in range(n)] for j in range(n)]
+    christoffels = tuple(
+        tuple(
+            tuple(
+                normal_sum(
+                    Mul(Num(0.5), Mul(ginv[i][s], Sub(Add(dgs[j][s][l], dgs[l][j][s]),
+                                                      dgs[s][j][l])))
+                    for s in range(n))
+                for l in range(n))
+            for j in range(n))
+        for i in range(n))
+    spray = tuple(
+        normal_sum(
+            Mul(Num(0.5),
+                Mul(christoffels[i][p][m], Mul(Var(jet_var(p, 1)), Var(jet_var(m, 1)))))
+            for p in range(n) for m in range(n))
+        for i in range(n))
+    dual1 = tuple(
+        tuple(normal_sum(Mul(christoffels[i][j][m], Var(jet_var(m, 1))) for m in range(n))
+              for j in range(n))
+        for i in range(n))
+    return Prolongation(spec, tuple(tuple(r) for r in rows), christoffels, spray, dual1)
+
+
+def prolong_finsler(spec, energy, inverse_rows=None):
+    return canonical_prolongation(
+        spec, fundamental_tensor(spec, energy, "fractional"), inverse_rows)
+
+
+def prolong_lagrange(spec, L, semantics="hybrid", inverse_rows=None):
+    kind = {"hybrid": "classical", "fractional": "fractional"}[semantics]
+    return canonical_prolongation(spec, fundamental_tensor(spec, L, kind), inverse_rows)
+
+
+def spray_derivation(spec, G):
+    def apply(f):
+        pieces = []
+        for h in range(spec.n):
+            d = frac_partial(f, f"x{h + 1}", spec.alpha)
+            pieces.append(Mul(Mul(Num(rung_weight(spec.alpha, 1)), Var(f"y{h + 1}_1")), d))
+        for b in range(2, spec.k + 1):
+            w = rung_weight(spec.alpha, b)
+            for h in range(spec.n):
+                d = lib_classical_partial(f, f"y{h + 1}_{b - 1}")
+                pieces.append(Mul(Mul(Num(w), Var(f"y{h + 1}_{b}")), d))
+        wk = rung_weight(spec.alpha, spec.k)
+        for h in range(spec.n):
+            d = lib_classical_partial(f, f"y{h + 1}_{spec.k}")
+            pieces.append(Mul(Mul(Num(-wk), G[h]), d))
+        return normal_sum(pieces)
+
+    return apply
+
+
+def _mat_mul(A, B, n):
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = Num(0.0)
+            for l in range(n):
+                acc = Add(acc, Mul(A[i][l], B[l][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _mat_add(A, B, n, sign=1.0):
+    return tuple(tuple(Add(A[i][j], Mul(Num(sign), B[i][j])) for j in range(n))
+                 for i in range(n))
+
+
+def _mat_normal(A, n):
+    return tuple(tuple(normal_form(A[i][j]) for j in range(n)) for i in range(n))
+
+
+def primal_to_dual(N):
+    n, k = N.spec.n, N.spec.k
+    M = []
+    for d in range(1, k + 1):
+        acc = N.order(d)
+        for f in range(1, d):
+            acc = _mat_add(acc, _mat_mul(M[d - f - 1], N.order(f), n), n)
+        M.append(_mat_normal(acc, n))
+    return DualCoefficients(N.spec, tuple(M))
+
+
+def dual_to_primal(M):
+    n, k = M.spec.n, M.spec.k
+    N = []
+    for d in range(1, k + 1):
+        acc = M.order(d)
+        for f in range(1, d):
+            acc = _mat_add(acc, _mat_mul(M.order(d - f), N[f - 1], n), n, sign=-1.0)
+        N.append(_mat_normal(acc, n))
+    return PrimalCoefficients(M.spec, tuple(N))
+
+
+def spray_to_dual(spec, G):
+    n, alpha = spec.n, spec.alpha
+    S = spray_derivation(spec, G)
+    M1 = tuple(tuple(normal_form(lib_classical_partial(G[i], f"y{j + 1}_1"))
+                     for j in range(n)) for i in range(n))
+    mats = [M1]
+    for a in range(1, spec.k):
+        scale = gamma(alpha * a) / gamma(alpha * (a + 1))
+        prev = mats[-1]
+        derived = tuple(tuple(S(prev[i][j]) for j in range(n)) for i in range(n))
+        correction = _mat_mul(M1, prev, n)
+        mats.append(tuple(
+            tuple(normal_form(Mul(Num(scale), Add(derived[i][j], correction[i][j])))
+                  for j in range(n))
+            for i in range(n)))
+    return DualCoefficients(spec, tuple(mats))

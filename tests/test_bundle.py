@@ -24,6 +24,7 @@ from fracosc.bundle import (
     pairing_residual,
     primal_to_dual,
     rung_weight,
+    spray_derivation,
     spray_field,
     spray_to_dual,
     tangent_shift,
@@ -299,6 +300,32 @@ def test_spray_to_dual_flat_is_zero():
         for i in range(2):
             for j in range(2):
                 assert normal_form(M.order(b)[i][j]) == parse("0.0")
+
+
+SPRAYS = (
+    ("0.7*x1*y1_1^2 + 0.5*y2_1^2", "1.3*x2^1.5*y1_1*y2_1"),
+    ("y1_1^2/(z + 1) + 0.37*x1^2*y2_1", "2.9*x1*x2*y2_1^2 - y1_1*y2_1"),  # opaque in z
+)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("texts", SPRAYS, ids=["monomial", "opaque"])
+def test_connection_builders_equal_the_expr_sum_reference(texts, k):
+    spec = BundleSpec(2, k, 0.3)
+    G = tuple(parse(t) for t in texts)
+    dual = spray_to_dual(spec, G)
+    want = ref.spray_to_dual(spec, G)
+    assert dual == want and repr(dual) == repr(want)
+    primal = dual_to_primal(dual)
+    want = ref.dual_to_primal(dual)
+    assert primal == want and repr(primal) == repr(want)
+    again = primal_to_dual(primal)
+    want = ref.primal_to_dual(primal)
+    assert again == want and repr(again) == repr(want)
+    N = _sample_primal(spec)
+    assert repr(primal_to_dual(N)) == repr(ref.primal_to_dual(N))
+    f = parse("0.7*x1^2*y1_1^1.5 + 1.3*x2*y2_1^2*y1_1")
+    assert repr(spray_derivation(spec, G)(f)) == repr(ref.spray_derivation(spec, G)(f))
 
 
 # ------------------------------------------- first-order chart covariance --

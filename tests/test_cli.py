@@ -90,6 +90,14 @@ def test_bad_grid_is_usage_error(capsys):
     assert main(["deriv", "--expr", "t", "--alpha", "0.5", "--grid", "1:0:0.1"]) == 1
 
 
+@pytest.mark.parametrize("scheme", ["gl", "l1"])
+def test_one_point_grid_is_config_error(scheme, capsys):
+    rc = main(["deriv", "--expr", "t^2", "--alpha", "0.5", "--grid", "0:1:2",
+               "--scheme", scheme])
+    assert rc == 1
+    assert "gl/l1 grids need at least two points" in capsys.readouterr().err
+
+
 def test_inadmissible_exponent_is_domain_error(capsys):
     rc = main(["deriv", "--expr", "t^0.2", "--alpha", "0.5", "--grid", "0:1:0.1"])
     assert rc == 2

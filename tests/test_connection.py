@@ -4,6 +4,7 @@ derivative, and the lifted bundle metric."""
 import numpy as np
 import pytest
 
+import _reference_builders as ref
 from fracosc.bundle import (
     BundleSpec,
     DualCoefficients,
@@ -225,3 +226,42 @@ def test_coefficients_are_bitwise_the_direct_evaluation(metric):
     g = metric.evaluate_at(env)
     want = max(_nabla_g_norm(g, Dg, K) for Dg, K in zip(Dgs, (coeff.L,) + coeff.C))
     assert conn.metricity_residual(env) == want
+
+
+# the third metric keeps an opaque factor in z, a variable no derivation
+# touches: its printed form re-expands to a differently keyed factor
+DELTA_METRICS = {
+    "base-diag": (("0.7*x1^2", "0.0"), ("0.0", "1.3*x1*x2")),
+    "jet-full": (("1.0 + 0.37*y1_1^2", "0.3*x1"), ("0.3*x1", "2.0 + 1.7*x2^2")),
+    "opaque": (("x1^2/(z + 1)", "0.3*x2*y2_1"), ("0.3*x2*y2_1", "2.9*y1_1^1.5/(z + 2) + x1")),
+}
+
+
+def _dense_primal(spec):
+    entries = ["0.7*x1", "1.3*y1_1 + 0.1*x2", "2.9", "x2*y2_1/(z + 3)", "0.37*x1^2"]
+    return PrimalCoefficients(spec, tuple(
+        tuple(tuple(parse(entries[(b + i + 2 * j) % len(entries)]) for j in range(spec.n))
+              for i in range(spec.n))
+        for b in range(spec.k)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", DELTA_METRICS)
+def test_adapted_derivations_equal_the_expr_sum_reference(name, k):
+    spec = BundleSpec(2, k, 0.4)
+    rows = tuple(tuple(parse(e) for e in row) for row in DELTA_METRICS[name])
+    metric = MetricField.from_matrix(spec, rows)
+    conn = MetricalConnection(spec, metric, _dense_primal(spec))
+    built = {(a, j, s, l): e for a, level in enumerate(conn._delta_metric)
+             for j, s, l, e in level}
+    for s in range(2):
+        for l in range(s, 2):
+            g = metric.entry(s, l)
+            for j in range(2):
+                pairs = [(conn.delta_x(g, j), ref.delta_x(conn, g, j), built[0, j, s, l])]
+                for a in range(1, k + 1):
+                    pairs.append((conn.delta_y(g, a, j), ref.delta_y(conn, g, a, j),
+                                  built[a, j, s, l]))
+                for got, want, cached in pairs:
+                    assert got == want == cached
+                    assert repr(got) == repr(want) == repr(cached)

@@ -203,6 +203,12 @@ def test_mixed_partials_commute(alpha, g1, g2, c):
     assert evaluate(d12, env) == pytest.approx(evaluate(d21, env), rel=1e-12, abs=1e-12)
 
 
+def test_numeric_fallback_with_unbound_axis_is_eval_error():
+    # x1^0.2 is inadmissible at order 0.5, so the GL fallback needs env['x1']
+    with pytest.raises(EvalError, match="unbound variable 'x1'"):
+        frac_partial_at(parse("x1^0.2 + y"), "x1", 0.5, {"y": 1.0})
+
+
 def test_numeric_fallback_matches_quadrature_oracle():
     # opaque in x1: (1 + x1^2)^0.5; oracle = Caputo integral via mpmath.quad
     import mpmath as mp

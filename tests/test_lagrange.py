@@ -4,10 +4,12 @@ prolongation overlap."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _reference_builders as ref
 from fracosc.bundle import BundleSpec, spray_to_dual
 from fracosc.errors import DomainError
-from fracosc.expr import Num, evaluate, normal_form, parse, to_str
+from fracosc.expr import Add, Mul, Num, Pow, Var, evaluate, normal_form, parse, to_str
 from fracosc.lagrange import (
     alpha_square,
     covector_gap,
@@ -298,3 +300,96 @@ def test_hybrid_vs_fractional_hessian_semantics():
     classical_value = 1.2**2
     frac_value = evaluate(frac[0][0], env)
     assert abs(frac_value - classical_value) > 0.05
+
+
+# ------------------------------------------------- Expr-sum reference copies --
+
+
+def _same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+LAGRANGIANS = (
+    "0.7*x1^2*y1_1^1.4 + x2*y2_1^2 + 1.3*y1_2^2*x1^1.5 + y2_2^1.2",
+    "2.9*x1^2.5*y1_1^2*y2_1 - 0.37*x2^1.5*y2_2^2 + 2",
+    "1.3*x1^2*y1_1^1.5/(z + 1) + 0.7*y2_2^2*x2",  # an opaque factor in z
+)
+
+
+@pytest.mark.parametrize("text", LAGRANGIANS)
+@pytest.mark.parametrize("mode", ["fractional", "classical"])
+def test_el_builders_equal_the_expr_sum_reference(text, mode):
+    spec = BundleSpec(2, 2, 0.3)
+    L = parse(text)
+    _same(el_residual(spec, L, mode), ref.el_residual(spec, L, mode))
+    _same(total_jet_derivative(spec, L, mode), ref.total_jet_derivative(spec, L, mode))
+    semantics = "fractional" if mode == "fractional" else "classical"
+    _same(fundamental_tensor(spec, L, semantics), ref.fundamental_tensor(spec, L, semantics))
+    if mode == "fractional":
+        for level in range(spec.k + 1):
+            _same(craig_synge_level(spec, L, level), ref.craig_synge_level(spec, L, level))
+        g = fundamental_tensor(spec, L, "fractional")
+        _same(craig_synge_closed_form(spec, L, g), ref.craig_synge_closed_form(spec, L, g))
+
+
+def test_reference_problems_equal_the_expr_sum_reference():
+    for prob in (reference_problem_fractional(), reference_problem_classical(),
+                 reference_problem_fractional(0.45, 2.5, 1.5, (1.0, -0.5))):
+        _same(prob.residual, ref.el_residual(prob.spec, prob.lagrangian, prob.mode))
+        assert prob.residual is prob.residual  # built once
+
+
+PROLONGATION_METRICS = {
+    "monomial": (("1.3*x1^2", "0.0"), ("0.0", "2.0*x2")),
+    # 1/(1 + x1^2) keeps an opaque denominator through the Christoffels
+    "non-monomial": (("1.0 + 0.7*x1^2", "0.0"), ("0.0", "x2 + 0.37*x1*x2")),
+    "monomial-powers": (("0.37*x1^2.5*x2^1.5", "0.0"), ("0.0", "2.9*x1^1.5*x2^1.3")),
+}
+
+
+@pytest.mark.parametrize("name", PROLONGATION_METRICS)
+def test_prolongations_equal_the_expr_sum_reference(name):
+    rows = tuple(tuple(parse(e) for e in row) for row in PROLONGATION_METRICS[name])
+    _same(prolong_riemann(SPEC21, rows), ref.canonical_prolongation(SPEC21, rows))
+    diag = (rows[0][0], rows[1][1])
+    _same(alpha_square(SPEC21, diag), ref.alpha_square(SPEC21, diag))
+    F2 = alpha_square(SPEC21, diag)
+    _same(prolong_finsler(SPEC21, F2), ref.prolong_finsler(SPEC21, F2))
+    _same(prolong_lagrange(SPEC21, F2, "fractional"),
+          ref.prolong_lagrange(SPEC21, F2, "fractional"))
+    L = Add(Mul(rows[0][0], Pow(Var("y1_1"), 2.0)), Mul(rows[1][1], Pow(Var("y2_1"), 2.0)))
+    _same(prolong_lagrange(SPEC21, L), ref.prolong_lagrange(SPEC21, L))
+    inverse = ((parse("0.7*x1^-2"), parse("0.0")), (parse("0.0"), parse("0.5/x2")))
+    _same(prolong_riemann(SPEC21, rows, inverse),
+          ref.canonical_prolongation(SPEC21, rows, inverse))
+
+
+_EXPONENTS = (0.0, 1.0, 1.5, 2.0, 2.5, 3.0)
+_monomials = st.lists(
+    st.tuples(st.sampled_from((0.7, -1.3, 2.9, 0.37)),
+              st.lists(st.sampled_from(_EXPONENTS), min_size=6, max_size=6)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_monomials, st.sampled_from((0.3, 0.5, 0.8)), st.sampled_from((1, 2)))
+def test_random_monomial_lagrangians_equal_the_expr_sum_reference(monomials, alpha, k):
+    spec = BundleSpec(2, k, alpha)
+    names = spec.all_names()
+    L = Num(0.0)
+    for c, exps in monomials:
+        term = Num(c)
+        for name, p in zip(names, exps):
+            if p:
+                term = Mul(term, Pow(Var(name), p))
+        L = Add(L, term)
+    for mode in ("fractional", "classical"):
+        try:
+            want = ref.el_residual(spec, L, mode)
+        except DomainError:
+            with pytest.raises(DomainError):
+                el_residual(spec, L, mode)
+            continue
+        _same(el_residual(spec, L, mode), want)
+        _same(fundamental_tensor(spec, L, mode), ref.fundamental_tensor(spec, L, mode))

@@ -120,6 +120,11 @@ def test_int_by_parts_residual_halves_under_refinement():
     assert r400 < 1e-3
 
 
+def test_int_by_parts_residual_of_zero_f1_is_zero():
+    zero = FracSeries(())
+    assert int_by_parts_residual(zero, FracSeries([(1.0, 1.3)]), 0.5, 1.0, 50) == 0.0
+
+
 def test_int_by_parts_preconditions():
     good_f1 = FracSeries([(1.0, 0.7), (-1.0, 2.0)])
     good_f2 = FracSeries([(1.0, 1.3)])

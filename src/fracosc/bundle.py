@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +72,7 @@ from .expr import (
     Var,
     classical_partial,
     collect_terms,
-    evaluate,
+    compile_exprs,
     expand_terms,
     fold_terms,
     frac_partial_terms,
@@ -196,17 +197,30 @@ class JetPoint:
             out.extend(level)
         return np.array(out)
 
+    def envs(self) -> list[dict[str, float]]:
+        """The env at each grid point of a point lifted on a grid (see
+        :func:`jet_lift`), with Python floats."""
+        env = self.env()
+        names, columns = list(env), [np.asarray(c).tolist() for c in env.values()]
+        return [dict(zip(names, values)) for values in zip(*columns)]
 
-def jet_lift(curves: list[FracSeries], alpha: float, levels: int, t: float) -> JetPoint:
+
+def jet_lift(curves: list[FracSeries], alpha: float, levels: int,
+             t: float | np.ndarray) -> JetPoint:
     """Jet of a curve at parameter t: level a is the a-fold order-alpha
-    derivative scaled by 1/Gamma(1+alpha*a)."""
-    x = tuple(float(c(t)) for c in curves)
+    derivative scaled by 1/Gamma(1+alpha*a).
+
+    ``t`` is a scalar or an ndarray. Each curve is derived once per level, so
+    lifting a whole grid costs one call; on an array every coordinate of the
+    returned point is an array over ``t``, bitwise equal to the jets lifted
+    at each point."""
+    x = tuple(c(t) for c in curves)
     ys = []
     ders = list(curves)
     for a in range(1, levels + 1):
         ders = [frac_derive(d, alpha) for d in ders]
         scale = 1.0 / gamma(1.0 + alpha * a)
-        ys.append(tuple(scale * float(d(t)) for d in ders))
+        ys.append(tuple(scale * d(t) for d in ders))
     return JetPoint(x, tuple(ys))
 
 
@@ -227,8 +241,12 @@ class BundleField:
         ):
             raise DomainError("field needs (k+1) levels of n coefficients")
 
+    @cached_property
+    def _compiled(self):
+        return compile_exprs([c for level in self.coeffs for c in level])
+
     def eval_at(self, env: dict[str, float]) -> np.ndarray:
-        return np.array([evaluate(c, env) for level in self.coeffs for c in level])
+        return np.array(self._compiled(env))
 
     def is_structurally_zero(self) -> bool:
         return all(
@@ -342,12 +360,42 @@ def jet_transform(cm: ChartMap, spec: BundleSpec) -> list[tuple[Expr, ...]]:
 
     The prolongation is built once per chart map and spec; every call returns
     a fresh list of the same simplified levels."""
+    return list(_prolongation(cm, spec).levels)
+
+
+class _Prolongation:
+    """A chart map's prolongation to one bundle: its levels, built once, and
+    the compiled evaluators of what is read from them at points, each built
+    on first use."""
+
+    def __init__(self, cm: ChartMap, spec: BundleSpec):
+        self.spec = spec
+        self.levels = _prolong(cm, spec)
+
+    @cached_property
+    def levels_at(self):
+        """Every level entry at a point, level by level."""
+        return compile_exprs([c for level in self.levels for c in level])
+
+    @cached_property
+    def blocks_at(self):
+        """The entries of the weighted Jacobian blocks Jx, Jyx and Jyy of a
+        k = 1 prolongation at a point, row by row."""
+        spec = self.spec
+        xs, ys = spec.x_names(), spec.y_names(1)
+        base, fibre = self.levels
+        return compile_exprs([
+            e for comps, names in ((base, xs), (fibre, xs), (fibre, ys))
+            for row in weighted_jacobian_exprs(comps, names, spec.alpha) for e in row])
+
+
+def _prolongation(cm: ChartMap, spec: BundleSpec) -> _Prolongation:
     if cm.n != spec.n:
         raise DomainError(f"chart map dimension {cm.n} != bundle dimension {spec.n}")
-    levels = cm._prolongations.get(spec)
-    if levels is None:
-        levels = cm._prolongations[spec] = _prolong(cm, spec)
-    return list(levels)
+    out = cm._prolongations.get(spec)
+    if out is None:
+        out = cm._prolongations[spec] = _Prolongation(cm, spec)
+    return out
 
 
 def _prolong(cm: ChartMap, spec: BundleSpec) -> tuple[tuple[Expr, ...], ...]:
@@ -376,13 +424,9 @@ def transform_jet_point(cm: ChartMap, spec: BundleSpec, jp: JetPoint) -> JetPoin
     """Numeric image of a jet point under the prolonged chart change."""
     if jp.levels < spec.k:
         raise DomainError(f"jet point has {jp.levels} levels, bundle needs {spec.k}")
-    env = jp.env()
-    levels = jet_transform(cm, spec)
-    x = tuple(evaluate(c, env) for c in levels[0])
-    ys = tuple(
-        tuple(evaluate(c, env) for c in levels[a]) for a in range(1, spec.k + 1)
-    )
-    return JetPoint(x, ys)
+    values = _prolongation(cm, spec).levels_at(jp.env())
+    n = spec.n
+    return JetPoint(values[:n], tuple(values[a * n:(a + 1) * n] for a in range(1, spec.k + 1)))
 
 
 def jet_round_trip_residual(
@@ -413,6 +457,14 @@ class _Coefficients:
 
     def order(self, b: int):
         return self.mats[b - 1]
+
+    @cached_property
+    def _compiled(self):
+        return compile_exprs([e for mat in self.mats for row in mat for e in row])
+
+    def values_at(self, env: dict[str, float]) -> np.ndarray:
+        """All matrices at a point: ``values_at(env)[b - 1]`` is order b."""
+        return np.array(self._compiled(env)).reshape(self.spec.k, self.spec.n, self.spec.n)
 
 
 class PrimalCoefficients(_Coefficients):
@@ -470,19 +522,16 @@ def dual_to_primal(M: DualCoefficients) -> PrimalCoefficients:
     return PrimalCoefficients(M.spec, _triangular(M.mats, M.spec.n, -1.0, False))
 
 
-def _eval_mat(mat, env, n: int) -> np.ndarray:
-    return np.array([[evaluate(mat[i][j], env) for j in range(n)] for i in range(n)])
-
-
 def adapted_frame(spec: BundleSpec, N: PrimalCoefficients, env: dict[str, float]) -> np.ndarray:
     """Rows = adapted fields delta_{(a)j} in natural-frame coordinates.
 
     Row index r = a*n + j; F[r, (a+b)*n + m] = -N^{(b)}[m][j] for b >= 1."""
     d = spec.dim
     F = np.eye(d)
+    Ns = N.values_at(env)
     for a in range(spec.k + 1):
         for b in range(1, spec.k - a + 1):
-            Nb = _eval_mat(N.order(b), env, spec.n)
+            Nb = Ns[b - 1]
             for j in range(spec.n):
                 for m in range(spec.n):
                     F[a * spec.n + j, (a + b) * spec.n + m] = -Nb[m][j]
@@ -495,9 +544,10 @@ def dual_coframe(spec: BundleSpec, M: DualCoefficients, env: dict[str, float]) -
     Row index r = a*n + j; D[r, (a-b)*n + m] = +M^{(b)}[j][m] for b >= 1."""
     d = spec.dim
     D = np.eye(d)
+    Ms = M.values_at(env)
     for a in range(spec.k + 1):
         for b in range(1, a + 1):
-            Mb = _eval_mat(M.order(b), env, spec.n)
+            Mb = Ms[b - 1]
             for j in range(spec.n):
                 for m in range(spec.n):
                     D[a * spec.n + j, (a - b) * spec.n + m] = Mb[j][m]
@@ -549,14 +599,9 @@ def _first_order_blocks(cm: ChartMap, spec: BundleSpec, N: PrimalCoefficients,
     if spec.k != 1:
         raise DomainError("first-order transformation law needs k = 1")
     env = jp.env()
-    levels = jet_transform(cm, spec)
-    xs, ys = spec.x_names(), spec.y_names(1)
-    Jx, Jyx, Jyy = (
-        np.array([[evaluate(e, env) for e in row]
-                  for row in weighted_jacobian_exprs(comps, names, spec.alpha)])
-        for comps, names in ((levels[0], xs), (levels[1], xs), (levels[1], ys))
-    )
-    return Jx, Jyx, Jyy, _eval_mat(N.order(1), env, spec.n)
+    blocks = _prolongation(cm, spec).blocks_at(env)
+    Jx, Jyx, Jyy = np.array(blocks).reshape(3, spec.n, spec.n)
+    return Jx, Jyx, Jyy, N.values_at(env)[0]
 
 
 def _transformed_primal(Jx, Jyx, Jyy, N1) -> np.ndarray:

@@ -39,7 +39,10 @@ from .errors import (
     ParseError,
     SingularityError,
 )
-from .expr import Add, Mul, Num, Pow, Var, evaluate, normalize_terms, parse, to_str
+# evaluate is unused here; perfbench's tracing self-test looks up fracosc.cli.evaluate
+from .expr import (  # noqa: F401
+    Add, Mul, Num, Pow, Var, compile_exprs, evaluate, normalize_terms, parse, to_str,
+)
 from .lagrange import (
     el_residual,
     reference_problem_classical,
@@ -64,13 +67,20 @@ def _write(chunks, out: str | None):
             fh.writelines(chunks)
 
 
-def _csv(meta: dict, columns: list[str], rows):
-    """CSV lines, each ending in a newline, produced one row at a time."""
+#: rows of a CSV block converted to Python floats at a time
+_CSV_BLOCK = 1024
+
+
+def _csv(meta: dict, columns: list[str], data: list[np.ndarray]):
+    """CSV lines of equal-length float64 arrays, one per column, each line
+    ending in a newline, produced a block of rows at a time."""
     yield f"# tool=fracosc version={__version__}\n"
     yield "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
     yield ",".join(columns) + "\n"
-    for row in rows:
-        yield ",".join(repr(float(v)) for v in row) + "\n"
+    for start in range(0, len(data[0]), _CSV_BLOCK):
+        block = [column[start:start + _CSV_BLOCK].tolist() for column in data]
+        for row in zip(*block):
+            yield ",".join(map(repr, row)) + "\n"
 
 
 def _json(payload: dict) -> str:
@@ -132,7 +142,7 @@ def cmd_deriv(args) -> int:
             dvals = l1_derivative(values, alpha, h)
     meta = {"alpha": repr(alpha), "k": 1, "n": 1, "scheme": args.scheme,
             "config_sha256": "-"}
-    _write(_csv(meta, ["t", "f", "d"], zip(ts, values, dvals)), args.out)
+    _write(_csv(meta, ["t", "f", "d"], [ts, values, dvals]), args.out)
     return 0
 
 
@@ -213,17 +223,16 @@ def _el_curve(cfg, sha, tol, out) -> int:
     ts = _parse_grid(get_str(cfg, "el.grid"))
     if ts[0] <= 0.0:
         ts = ts[1:]  # jets of power curves blow up / degenerate at t = 0
-    E = el_residual(spec, L, mode)
+    residual = compile_exprs(el_residual(spec, L, mode))
     rows = []
     worst = 0.0
-    for t in ts:
-        env = jet_lift(curves, alpha, k + 1, float(t)).env()
-        res = [evaluate(e, env) for e in E]
+    for env in jet_lift(curves, alpha, k + 1, ts).envs():
+        res = residual(env)
         worst = max(worst, max(abs(r) for r in res))
-        rows.append([t, *res])
+        rows.append(res)
     meta = {"alpha": repr(alpha), "k": k, "n": spec.n, "config_sha256": sha}
     cols = ["t"] + [f"residual_{i + 1}" for i in range(spec.n)]
-    _write(_csv(meta, cols, rows), out)
+    _write(_csv(meta, cols, [ts, *np.array(rows).reshape(len(ts), spec.n).T]), out)
     if tol is not None and worst > tol:
         print(f"assertion failed: max residual {worst:.3e} > {tol:.3e}",
               file=sys.stderr)
@@ -311,19 +320,18 @@ def cmd_solve(args) -> int:
     t_end = get_float(cfg, "solve.t_end")
     x0 = np.array(get_floats(cfg, "solve.x0"))
     n = len(x0)
-    rhs_exprs = [parse(get_str(cfg, f"solve.rhs.{i + 1}")) for i in range(n)]
+    f = compile_exprs([parse(get_str(cfg, f"solve.rhs.{i + 1}")) for i in range(n)])
+    names = [f"x{i + 1}" for i in range(n)]
 
     def rhs(t, s):
         env = {"t": float(t)}
-        for i in range(n):
-            env[f"x{i + 1}"] = float(s[i])
-        return np.array([evaluate(e, env) for e in rhs_exprs])
+        env.update(zip(names, s.tolist()))
+        return np.array(f(env))
 
     res = solve_fode(rhs, x0, alpha, t_end, h)
     meta = {"alpha": repr(alpha), "k": 1, "n": n, "config_sha256": sha}
-    cols = ["t"] + [f"x{i + 1}" for i in range(n)]
-    rows = ([t, *state] for t, state in zip(res.t, res.x))
-    _write(_csv(meta, cols, rows), args.out)
+    cols = ["t"] + names
+    _write(_csv(meta, cols, [res.t, *res.x.T]), args.out)
     return 0
 
 

@@ -41,7 +41,7 @@ from .expr import (
     Expr,
     Term,
     collect_terms,
-    evaluate,
+    compile_exprs,
     expand_terms,
     fold_terms,
     frac_partial_terms,
@@ -99,21 +99,33 @@ class MetricField:
             i, j = j, i
         return self.upper[i][j - i]
 
+    @cached_property
+    def _compiled(self):
+        return compile_exprs([e for row in self.upper for e in row])
+
     def evaluate_at(self, env: dict[str, float]) -> np.ndarray:
-        n = self.spec.n
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = g[j, i] = evaluate(self.entry(i, j), env)
-        return g
+        return _symmetric(self._compiled(env), self.spec.n)
 
     def inverse_at(self, env: dict[str, float]) -> np.ndarray:
-        g = self.evaluate_at(env)
-        try:
-            ginv = np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            raise DomainError("metric is singular at the evaluation point") from None
-        return 0.5 * (ginv + ginv.T)
+        return _inverse(self.evaluate_at(env))
+
+
+def _symmetric(upper, n: int) -> np.ndarray:
+    """The n x n symmetric matrix of its upper triangle, given row-major."""
+    g = np.empty((n, n))
+    values = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            g[i, j] = g[j, i] = next(values)
+    return g
+
+
+def _inverse(g: np.ndarray) -> np.ndarray:
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise DomainError("metric is singular at the evaluation point") from None
+    return 0.5 * (ginv + ginv.T)
 
 
 @dataclass(frozen=True)
@@ -181,17 +193,27 @@ class MetricalConnection:
                   for j, var in enumerate(self.spec.level_names(a)))
             for a in range(k + 1))
 
-    def _delta_metric_at(self, env) -> list[np.ndarray]:
-        """Dg[j, s, l] at env for the base (first) and each fibre level;
-        symmetric in (s, l)."""
+    @cached_property
+    def _compiled(self):
+        """The metric's upper triangle, then every entry of Delta g."""
+        return compile_exprs([e for row in self.metric.upper for e in row]
+                             + [e for level in self._delta_metric for *_, e in level])
+
+    def _values_at(self, env) -> tuple[np.ndarray, list[np.ndarray]]:
+        """g at env, and Dg[j, s, l] at env for the base (first) and each
+        fibre level; Dg is symmetric in (s, l)."""
         n = self.spec.n
+        values = self._compiled(env)
+        pos = n * (n + 1) // 2
+        g = _symmetric(values[:pos], n)
         out = []
         for level in self._delta_metric:
             Dg = np.empty((n, n, n))
-            for j, s, l, e in level:
-                Dg[j, s, l] = Dg[j, l, s] = evaluate(e, env)
+            for j, s, l, _ in level:
+                Dg[j, s, l] = Dg[j, l, s] = values[pos]
+                pos += 1
             out.append(Dg)
-        return out
+        return g, out
 
     @staticmethod
     def _levi_civita(ginv: np.ndarray, Dg: np.ndarray) -> np.ndarray:
@@ -199,12 +221,12 @@ class MetricalConnection:
         B = Dg.transpose(1, 0, 2) + Dg.transpose(2, 1, 0) - Dg
         return 0.5 * np.einsum("is,sjl->ijl", ginv, B)
 
-    def _coefficients_with_dg(self, env) -> tuple[ConnectionCoefficients, list]:
-        ginv = self.metric.inverse_at(env)
-        Dgs = self._delta_metric_at(env)
+    def _coefficients_with_dg(self, env) -> tuple[ConnectionCoefficients, np.ndarray, list]:
+        g, Dgs = self._values_at(env)
+        ginv = _inverse(g)
         L = self._levi_civita(ginv, Dgs[0])
         C = tuple(self._levi_civita(ginv, Dg) for Dg in Dgs[1:])
-        return ConnectionCoefficients(L, C), Dgs
+        return ConnectionCoefficients(L, C), g, Dgs
 
     def coefficients_at(self, env: dict[str, float]) -> ConnectionCoefficients:
         return self._coefficients_with_dg(env)[0]
@@ -214,8 +236,7 @@ class MetricalConnection:
     def metricity_residual(self, env: dict[str, float]) -> float:
         """max over all adapted directions of the covariant derivative of g;
         zero up to inversion rounding for any primal coefficients."""
-        g = self.metric.evaluate_at(env)
-        coeff, Dgs = self._coefficients_with_dg(env)
+        coeff, g, Dgs = self._coefficients_with_dg(env)
         worst = _nabla_g_norm(g, Dgs[0], coeff.L)
         for Dg, K in zip(Dgs[1:], coeff.C):
             worst = max(worst, _nabla_g_norm(g, Dg, K))
@@ -232,14 +253,14 @@ class MetricalConnection:
         n = self.spec.n
         shape = _shape(tensor, n)
         flat = list(_flatten(tensor))
-        comps = np.array([evaluate(c, env) for c in flat]).reshape(shape)
+        comps = np.array(compile_exprs(flat)(env)).reshape(shape)
         rank = comps.ndim
         L = self.coefficients_at(env).L
+        deltas = compile_exprs([self.delta_x(c, m) for m in range(n) for c in flat])
+        D = np.array(deltas(env)).reshape((n,) + shape)
         out = np.empty((n,) + shape)
         for m in range(n):
-            d = np.array(
-                [evaluate(self.delta_x(c, m), env) for c in flat]
-            ).reshape(shape)
+            d = D[m]
             for q in range(rank):
                 corr = np.tensordot(L[:, :, m], comps, axes=([0], [q]))
                 d = d - np.moveaxis(corr, 0, q)

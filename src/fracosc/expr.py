@@ -32,6 +32,12 @@ once, then :func:`multiply_terms`, :func:`negate_terms`,
 each result once with :func:`terms_to_expr`; :func:`fold_terms` stands in for
 printing a piece and expanding it again.
 
+Expressions built once are read at many points through :func:`compile_exprs`:
+the distinct nodes of a tuple of Exprs laid out once in post-order, one slot
+each, and run at each point (an evaluation procedure over the computational
+graph, Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 2).
+:func:`evaluate` is its one-point call.
+
 The fractional partial derivative along ``var`` follows the reviewed
 power-rule convention: terms free of ``var`` are annihilated, exponents in
 (0, alpha) are inadmissible (DomainError), and ``v^alpha -> Gamma(1+alpha)``.
@@ -42,7 +48,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError, EvalError, ParseError
 from .gammaledger import GammaProduct
@@ -52,7 +58,7 @@ from .specfun import mittag_leffler as _ml_fn
 
 __all__ = [
     "Expr", "Num", "Var", "Call", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
-    "parse", "to_str", "evaluate", "free_vars", "simplify", "simplify_node",
+    "parse", "to_str", "compile_exprs", "evaluate", "free_vars", "simplify", "simplify_node",
     "Term", "expand_terms", "collect_terms", "normalize_terms", "terms_to_expr",
     "fold_terms", "multiply_terms", "negate_terms", "normal_form",
     "term_frac_partial", "frac_partial_terms", "frac_partial", "classical_partial",
@@ -219,13 +225,13 @@ class _Parser:
             if tok.kind != "number":
                 raise ParseError("power exponent must be a numeric literal",
                                  tok.line, tok.col)
-            return Pow(base, sign * float(tok.text))
+            return Pow(base, sign * _number(tok))
         return base
 
     def parse_atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "number":
-            return Num(float(tok.text))
+            return Num(_number(tok))
         if tok.kind == "ident":
             if self.at_op("("):
                 if tok.text not in _FUNCTION_ARITY:
@@ -249,6 +255,13 @@ class _Parser:
             return inner
         raise ParseError(f"unexpected token {tok.text or 'end of input'!r}",
                          tok.line, tok.col)
+
+
+def _number(tok: _Token) -> float:
+    value = float(tok.text)
+    if math.isinf(value):
+        raise ParseError("number out of range", tok.line, tok.col)
+    return value
 
 
 def parse(text: str) -> Expr:
@@ -319,40 +332,111 @@ def to_str(e: Expr) -> str:
 # --------------------------------------------------------------- evaluation --
 
 
+# Instructions of a compiled evaluator, ``(op, out, a, b)``: slot ``out``
+# receives op applied to slots ``a`` and ``b``. For _VAR ``a`` is the variable
+# name; for _POW ``b`` is the exponent and for _CALL the function name;
+# _NONZERO checks the denominator in slot ``b`` and fills no slot.
+_MUL, _ADD, _POW, _SUB, _NEG, _VAR, _DIV, _NONZERO, _GAMMA, _ML, _CALL = range(11)
+_BINARY_OPS = {Add: _ADD, Sub: _SUB, Mul: _MUL}
+_CALLS = {"gamma": _GAMMA, "ml": _ML}
+
+
+def compile_exprs(exprs: Iterable[Expr]) -> Callable[[dict], tuple[float, ...]]:
+    """One evaluator for a tuple of Exprs over their shared DAG.
+
+    The returned ``f(env)`` gives the value of every Expr at ``env`` as a
+    tuple of floats. Building it visits each distinct node once (keyed by
+    ``id``) and lays the nodes out in post-order, one slot each; ``f`` runs
+    that list in one loop, so a node shared by several paths or several Exprs
+    is computed once per call. Operands are taken left before right, except
+    that a quotient takes its denominator first and checks it for zero before
+    its numerator, so the first failure is the one a recursive evaluation
+    would meet: unknown variables and arithmetic domain failures raise
+    EvalError, gamma poles DomainError. Values are Python floats."""
+    exprs = tuple(exprs)  # keeps every node alive, so the ids below stay valid
+    slots: dict[int, int] = {}  # id(node) -> slot
+    template: list = []  # one slot per distinct node; constants filled in
+    code: list[tuple] = []
+
+    def visit(e: Expr) -> int:
+        hit = slots.get(id(e))
+        if hit is not None:
+            return hit
+        kind = type(e)
+        op = _BINARY_OPS.get(kind)
+        if op is not None:
+            a = visit(e.left)
+            b = visit(e.right)
+        elif kind is Pow:
+            op, a, b = _POW, visit(e.base), e.exponent
+        elif kind is Num:
+            slots[id(e)] = len(template)
+            template.append(e.value)
+            return len(template) - 1
+        elif kind is Var:
+            op, a, b = _VAR, e.name, None
+        elif kind is Neg:
+            op, a, b = _NEG, visit(e.arg), None
+        elif kind is Div:
+            b = visit(e.right)
+            check = (_NONZERO, None, None, b)
+            code.append(check)
+            a = visit(e.left)
+            if code[-1] is check:  # the numerator was computed before
+                code.pop()
+            op = _DIV
+        elif kind is Call:
+            args = [visit(x) for x in e.args]
+            op = _CALLS.get(e.fn, _CALL)
+            a, b = args[0], (args[-1] if op == _ML else e.fn)
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        out = slots[id(e)] = len(template)
+        template.append(None)
+        code.append((op, out, a, b))
+        return out
+
+    roots = [visit(e) for e in exprs]
+
+    def run(env: dict) -> tuple[float, ...]:
+        v = template[:]
+        for op, out, a, b in code:
+            if op == _MUL:
+                v[out] = v[a] * v[b]
+            elif op == _ADD:
+                v[out] = v[a] + v[b]
+            elif op == _POW:
+                v[out] = _pow_value(v[a], b)
+            elif op == _SUB:
+                v[out] = v[a] - v[b]
+            elif op == _NEG:
+                v[out] = -v[a]
+            elif op == _VAR:
+                try:
+                    v[out] = float(env[a])
+                except KeyError:
+                    raise EvalError(f"unbound variable {a!r}") from None
+            elif op == _DIV or op == _NONZERO:
+                x = v[b]
+                if x == 0.0:
+                    raise EvalError("division by zero")
+                if op == _DIV:
+                    v[out] = v[a] / x
+            elif op == _GAMMA:
+                v[out] = _gamma_fn(v[a])
+            elif op == _ML:
+                v[out] = _ml_fn(v[a], v[b])
+            else:
+                raise EvalError(f"unknown function {b!r}")
+        return tuple([v[r] for r in roots])
+
+    return run
+
+
 def evaluate(e: Expr, env: dict[str, float]) -> float:
-    """Evaluate at a point. Unknown variables and arithmetic domain failures
-    raise EvalError; gamma poles surface as DomainError."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Call):
-        vals = [evaluate(a, env) for a in e.args]
-        if e.fn == "gamma":
-            return _gamma_fn(vals[0])
-        if e.fn == "ml":
-            return _ml_fn(vals[0], vals[1])
-        raise EvalError(f"unknown function {e.fn!r}")
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
-    if isinstance(e, Add):
-        return evaluate(e.left, env) + evaluate(e.right, env)
-    if isinstance(e, Sub):
-        return evaluate(e.left, env) - evaluate(e.right, env)
-    if isinstance(e, Mul):
-        return evaluate(e.left, env) * evaluate(e.right, env)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, env)
-        if denom == 0.0:
-            raise EvalError("division by zero")
-        return evaluate(e.left, env) / denom
-    if isinstance(e, Pow):
-        base = evaluate(e.base, env)
-        return _pow_value(base, e.exponent)
-    raise TypeError(f"not an Expr: {e!r}")
+    """Evaluate at a point: the one-point call of :func:`compile_exprs`.
+    Code that evaluates the same Exprs at many points compiles them once."""
+    return compile_exprs((e,))(env)[0]
 
 
 def _pow_value(base: float, p: float) -> float:
@@ -371,20 +455,27 @@ def _pow_value(base: float, p: float) -> float:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Num):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Call):
-        out: frozenset[str] = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    return free_vars(e.left) | free_vars(e.right)
+    """The variable names in ``e``; each distinct node is visited once."""
+    seen: set[int] = set()  # ids of visited nodes, all kept alive by ``e``
+    names: set[str] = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Var):
+            names.add(x.name)
+        elif isinstance(x, Call):
+            stack.extend(x.args)
+        elif isinstance(x, Neg):
+            stack.append(x.arg)
+        elif isinstance(x, Pow):
+            stack.append(x.base)
+        elif not isinstance(x, Num):
+            stack += (x.left, x.right)
+    return frozenset(names)
+
 
 # ---------------------------------------------------------------- simplify --
 
@@ -780,12 +871,12 @@ def frac_partial_at(e: Expr, var: str, alpha: float, env: dict[str, float],
     if T <= 0:
         raise DomainError(f"numeric fractional partial needs {var!r} > 0 at the point")
     n = max(8, int(round(T / h)))
-    grid = [T * j / n for j in range(n + 1)]
+    f = compile_exprs((e,))
     vals = []
     scratch = dict(env)
-    for s in grid:
-        scratch[var] = s
-        vals.append(evaluate(e, scratch))
+    for j in range(n + 1):
+        scratch[var] = T * j / n
+        vals.append(f(scratch)[0])
     return float(gl_derivative(vals, alpha, T / n)[-1])
 
 # ------------------------------------------------------- classical partials --

@@ -46,7 +46,7 @@ from .expr import (
     Var,
     classical_partial,
     collect_terms,
-    evaluate,
+    compile_exprs,
     frac_partial_terms,
     free_vars,
     negate_terms,
@@ -113,14 +113,17 @@ class ChartMap:
             raise DomainError(f"expected point of shape ({self.n},), got {point.shape}")
         return {name: float(v) for name, v in zip(base_vars(self.n), point)}
 
+    @cached_property
+    def _compiled(self):
+        return compile_exprs(self.components)
+
     def apply(self, point) -> np.ndarray:
-        env = self.env(point)
-        return np.array([evaluate(c, env) for c in self.components])
+        return np.array(self._compiled(self.env(point)))
 
     @cached_property
     def _prolongations(self) -> dict:
-        """Jet prolongations of this map by BundleSpec, filled by
-        :func:`fracosc.bundle.jet_transform`."""
+        """Jet prolongations of this map by BundleSpec, with their compiled
+        evaluators, filled by :mod:`fracosc.bundle` on first use."""
         return {}
 
 
@@ -156,7 +159,8 @@ def frac_jacobian(cm: ChartMap, alpha: float, point) -> np.ndarray:
     if np.any(image <= 0.0):
         raise DomainError("fractional Jacobian needs the image in the positive orthant")
     rows = weighted_jacobian_exprs(cm.components, base_vars(cm.n), alpha)
-    return np.array([[evaluate(entry, env) for entry in row] for row in rows])
+    values = compile_exprs([entry for row in rows for entry in row])(env)
+    return np.array(values).reshape(cm.n, cm.n)
 
 
 def _monomial_power_form(comp: Expr) -> Term:
@@ -180,14 +184,17 @@ def frac_jacobian_gamma_form(cm: ChartMap, alpha: float, point) -> np.ndarray:
         raise DomainError("gamma-form Jacobian needs a positive-orthant point")
     norm = gamma(1.0 + alpha)
     out = np.zeros((cm.n, cm.n))
+    entries = []
     for i, comp in enumerate(cm.components):
         _monomial_power_form(comp)  # validate shape
         powered = normalize_terms(Pow(comp, alpha))
         for j, vj in enumerate(base_vars(cm.n)):
             d = term_frac_partial(powered[0], vj, alpha)
-            if d is None:
-                continue
-            out[i, j] = evaluate(terms_to_expr([d]), env) / norm
+            if d is not None:
+                entries.append((i, j, terms_to_expr([d])))
+    values = compile_exprs([e for *_, e in entries])(env)
+    for (i, j, _), v in zip(entries, values):
+        out[i, j] = v / norm
     return out
 
 

@@ -60,6 +60,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .bundle import BundleSpec, jet_lift
 from .errors import DomainError
 from .expr import (
@@ -75,7 +77,7 @@ from .expr import (
     Var,
     classical_partial,
     collect_terms,
-    evaluate,
+    compile_exprs,
     expand_terms,
     fold_terms,
     frac_partial_terms,
@@ -242,9 +244,8 @@ def covector_gap(
     closed form — a reported measurement, deliberately not reconciled."""
     ladder = craig_synge_level(spec, L, spec.k - 1) if spec.k >= 1 else ()
     closed = craig_synge_closed_form(spec, L, fundamental)
-    return max(
-        abs(evaluate(a, env) - evaluate(b, env)) for a, b in zip(ladder, closed)
-    )
+    values = compile_exprs([e for pair in zip(ladder, closed) for e in pair])(env)
+    return max(abs(a - b) for a, b in zip(values[::2], values[1::2]))
 
 
 # ------------------------------------------------------------ spray extraction --
@@ -290,12 +291,12 @@ def spray_ode_residual(
 ) -> float:
     """max over sample times of |y^{i(k+1)}(t) - solved_i(jet(t))| along the
     exact jet of the given curves."""
+    f = compile_exprs(solved)
+    tops = [jet_var(i, spec.k + 1) for i in range(spec.n)]
     worst = 0.0
-    for t in ts:
-        jp = jet_lift(curves, spec.alpha, spec.k + 1, float(t))
-        env = jp.env()
-        for i in range(spec.n):
-            worst = max(worst, abs(jp.y[spec.k][i] - evaluate(solved[i], env)))
+    for env in jet_lift(curves, spec.alpha, spec.k + 1, np.asarray(ts, dtype=float)).envs():
+        for top, value in zip(tops, f(env)):
+            worst = max(worst, abs(env[top] - value))
     return worst
 
 
@@ -315,6 +316,11 @@ class ReferenceProblem:
     def residual(self) -> tuple[Expr, ...]:
         """The Euler-Lagrange residual of the Lagrangian, built once."""
         return el_residual(self.spec, self.lagrangian, self.mode)
+
+    @cached_property
+    def _residual_and_target(self):
+        """E_1, target, E_2, target, ... at a point, compiled once."""
+        return compile_exprs([x for e in self.residual for x in (e, self.target)])
 
 
 def _reference_target(alpha: float, power: float, c: float, coeffs) -> Expr:
@@ -383,9 +389,8 @@ def reference_problem_classical(
 
 def reference_residual(problem: ReferenceProblem, env: dict[str, float]) -> float:
     """|E(env) - target(env)| for the problem's single coordinate."""
-    return max(
-        abs(evaluate(e, env) - evaluate(problem.target, env)) for e in problem.residual
-    )
+    values = problem._residual_and_target(env)
+    return max(abs(e - target) for e, target in zip(values[::2], values[1::2]))
 
 
 # ------------------------------------------------------------- prolongations --

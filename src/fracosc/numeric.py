@@ -107,6 +107,8 @@ def gl_derivative(values, alpha: float, h: float, side: str = "left") -> np.ndar
         return gl_derivative(f[::-1], alpha, h, side="left")[::-1]
     if side != "left":
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    if len(f) < 2:
+        return np.zeros(len(f))  # nothing to difference against: out[0] = 0
     return _history_sum(gl_weights(alpha - 1.0, len(f) - 2), f, h**-alpha)
 
 

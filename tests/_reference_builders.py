@@ -5,9 +5,11 @@ simplifies at every recursion level, so both cost far more than the library
 versions on large or shared expressions. The geometry builders below
 (adapted derivations, Euler-Lagrange residuals, spray and connection
 coefficients, prolongations) combine their pieces as Exprs and take the
-normal form of the whole sum, re-distributing every piece. They are kept only
-as the oracle that the library's builders must reproduce exactly (``==``, and
-the same printed form including signed zeros).
+normal form of the whole sum, re-distributing every piece. ``evaluate`` walks
+the unfolded tree, so a shared subtree is computed once per path. They are
+kept only as the oracle that the library's builders and its compiled
+evaluator must reproduce exactly (``==``, the same printed form including
+signed zeros, the same float bits, the same first error).
 """
 
 from fracosc.bundle import DualCoefficients, PrimalCoefficients, rung_weight
@@ -18,7 +20,41 @@ from fracosc.expr import (
 )
 from fracosc.expr import classical_partial as lib_classical_partial
 from fracosc.lagrange import Prolongation, jet_var
-from fracosc.specfun import gamma
+from fracosc.specfun import gamma, mittag_leffler
+
+
+def evaluate(e, env):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return float(env[e.name])
+        except KeyError:
+            raise EvalError(f"unbound variable {e.name!r}") from None
+    if isinstance(e, Call):
+        vals = [evaluate(a, env) for a in e.args]
+        if e.fn == "gamma":
+            return gamma(vals[0])
+        if e.fn == "ml":
+            return mittag_leffler(vals[0], vals[1])
+        raise EvalError(f"unknown function {e.fn!r}")
+    if isinstance(e, Neg):
+        return -evaluate(e.arg, env)
+    if isinstance(e, Add):
+        return evaluate(e.left, env) + evaluate(e.right, env)
+    if isinstance(e, Sub):
+        return evaluate(e.left, env) - evaluate(e.right, env)
+    if isinstance(e, Mul):
+        return evaluate(e.left, env) * evaluate(e.right, env)
+    if isinstance(e, Div):
+        denom = evaluate(e.right, env)
+        if denom == 0.0:
+            raise EvalError("division by zero")
+        return evaluate(e.left, env) / denom
+    if isinstance(e, Pow):
+        base = evaluate(e.base, env)
+        return _pow_value(base, e.exponent)
+    raise TypeError(f"not an Expr: {e!r}")
 
 
 def simplify(e):

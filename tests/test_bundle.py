@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _reference_builders as ref
 from fracosc.bundle import (
@@ -210,6 +211,22 @@ def test_jet_lift_power_curve():
     expected1 = gamma(1.6) / gamma(1.3) ** 2 * 0.7**0.3
     assert jp.y[0][0] == pytest.approx(expected1, rel=1e-13)
     assert jp.y[1][0] == pytest.approx(1.0, rel=1e-13)
+
+
+_curves = st.lists(
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.2, 2.1])),
+             min_size=1, max_size=4).map(FracSeries),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_curves, st.lists(st.floats(0.0, 20.0), max_size=30), st.integers(1, 3))
+def test_jet_lift_on_a_grid_is_bitwise_the_pointwise_lift(curves, ts, levels):
+    grid = jet_lift(curves, 0.3, levels, np.array(ts))
+    for p, t in enumerate(ts):
+        point = jet_lift(curves, 0.3, levels, t)
+        assert [x[p] for x in grid.x] == list(point.x)
+        assert [[y[p] for y in level] for level in grid.y] == [list(level) for level in point.y]
 
 
 # ------------------------------------------------------- connection algebra --

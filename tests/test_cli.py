@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _reference_builders as ref
+from fracosc.bundle import BundleSpec, jet_lift
 from fracosc.cli import main
 from fracosc.config import (
     get_float,
@@ -19,6 +21,10 @@ from fracosc.config import (
     parse_config_text,
 )
 from fracosc.errors import ParseError
+from fracosc.expr import parse
+from fracosc.lagrange import el_residual
+from fracosc.numeric import solve_fode
+from fracosc.series import FracSeries, frac_derive
 from fracosc.specfun import mittag_leffler
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -102,6 +108,14 @@ def test_inadmissible_exponent_is_domain_error(capsys):
     rc = main(["deriv", "--expr", "t^0.2", "--alpha", "0.5", "--grid", "0:1:0.1"])
     assert rc == 2
     assert "domain error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr,col", [("t^1e400", 3), ("1e400*t^2", 1)])
+def test_literal_out_of_range_is_config_error(expr, col, capsys):
+    rc = main(["deriv", "--expr", expr, "--alpha", "0.5", "--grid", "0:1:0.5"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert f"number out of range (line 1, col {col})" in captured.err
 
 
 def test_missing_config_file(capsys):
@@ -250,6 +264,59 @@ def test_solve_bad_rhs_is_config_error(tmp_path):
         "solve.x0 = 1.0\nsolve.rhs.1 = x1 +\n"
     )
     assert main(["solve", "--config", str(p)]) == 1
+
+
+# ------------------------------------------- rows against per-point values --
+
+
+def _rows(text):
+    return text.splitlines()[3:]  # after the two meta lines and the header
+
+
+def _line(values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+def test_deriv_rows_are_the_repr_of_each_pointwise_value(capsys):
+    assert main(["deriv", "--expr", "0.5*t^4 - t^2.2", "--alpha", "0.7",
+                 "--grid", "0:2:0.05"]) == 0
+    f = FracSeries(((0.5, 4.0), (-1.0, 2.2)))
+    d = frac_derive(f, 0.7)
+    ts = 0.05 * np.arange(41)
+    assert _rows(capsys.readouterr().out) == [_line((t, f(float(t)), d(float(t)))) for t in ts]
+
+
+def test_el_curve_rows_equal_the_pointwise_tree_walk(tmp_path, capsys):
+    L = "1.3*y1_1^0.8 + 0.7*x1^0.4 + y2_1^2*x2 + 0.5*y1_2^2"
+    x1, x2 = "[[0.5, 0.0], [1.1, 0.4], [0.3, 0.8]]", "[[1.5, 0.0], [0.6, 0.4], [0.9, 1.6]]"
+    cfg = tmp_path / "curve.cfg"
+    cfg.write_text(f"el.mode = curve\nel.alpha = 0.4\nel.k = 2\nel.lagrangian = {L}\n"
+                   f"curve.x1 = {x1}\ncurve.x2 = {x2}\nel.grid = 0:2:0.05\n")
+    assert main(["el", "--config", str(cfg)]) == 0
+    curves = [FracSeries.from_json_text(x1), FracSeries.from_json_text(x2)]
+    E = el_residual(BundleSpec(2, 2, 0.4), parse(L))
+    want = []
+    for t in 0.05 * np.arange(1, 41):
+        env = jet_lift(curves, 0.4, 3, float(t)).env()
+        want.append(_line([t] + [ref.evaluate(e, env) for e in E]))
+    assert _rows(capsys.readouterr().out) == want
+
+
+def test_solve_rows_equal_a_tree_walk_rhs(tmp_path, capsys):
+    rhs = [parse("-x1 + 0.5*x2*t"), parse("x1^2 - x2 + gamma(1.5)")]
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("solve.alpha = 0.7\nsolve.h = 0.01\nsolve.t_end = 1.0\n"
+                   "solve.x0 = 1.0, 0.5\nsolve.rhs.1 = -x1 + 0.5*x2*t\n"
+                   "solve.rhs.2 = x1^2 - x2 + gamma(1.5)\n")
+    assert main(["solve", "--config", str(cfg)]) == 0
+
+    def f(t, s):
+        env = {"t": float(t), "x1": float(s[0]), "x2": float(s[1])}
+        return np.array([ref.evaluate(e, env) for e in rhs])
+
+    res = solve_fode(f, np.array([1.0, 0.5]), 0.7, 1.0, 0.01)
+    want = [_line([t, *x]) for t, x in zip(res.t, res.x)]
+    assert _rows(capsys.readouterr().out) == want
 
 
 # ------------------------------------------------------------- determinism --

@@ -9,7 +9,7 @@ import _reference_builders as ref
 from fracosc.errors import DomainError, EvalError, ParseError
 from fracosc.expr import (
     Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
-    classical_partial, evaluate, frac_partial, frac_partial_at, free_vars,
+    classical_partial, compile_exprs, evaluate, frac_partial, frac_partial_at, free_vars,
     is_monomial_in, normal_form, normalize_terms, parse, simplify,
     term_frac_partial, to_str,
 )
@@ -118,6 +118,14 @@ def test_evaluate_guards():
 
 def test_free_vars():
     assert free_vars(parse("x1*gamma(2.0) + y1_2^2 - 4")) == {"x1", "y1_2"}
+
+
+@pytest.mark.parametrize("text,col", [("1e400", 1), ("t^1e400", 3), ("2*t + 3E+999*t", 7)])
+def test_literals_out_of_range_are_parse_errors(text, col):
+    with pytest.raises(ParseError, match="number out of range") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert parse("1e-400") == Num(0.0)  # underflow to zero is a finite value
 
 
 # ------------------------------------------------------------ normal form
@@ -308,3 +316,72 @@ def test_builders_are_linear_in_the_shared_dag():
     assert simplify(e) is e
     d = classical_partial(e, "x")
     assert simplify(d) is d
+
+
+# ------------------------------- compiled evaluator against the tree walk
+
+_envs = st.dictionaries(
+    st.sampled_from(["x", "y"]), st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0]))
+
+
+def _outcome(fn):
+    """The float bits of every value, or the type and message of the first
+    failure."""
+    try:
+        values = fn()
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_trees, min_size=1, max_size=3), _envs)
+def test_compiled_evaluation_equals_the_tree_walk(exprs, env):
+    # the last root shares the nodes of the first and the second-to-last
+    exprs.append(Div(exprs[0], Sub(exprs[-1], Var("y"))))
+    assume(sum(_tree_size(e) for e in exprs) <= 400)
+    want = _outcome(lambda: [ref.evaluate(e, env) for e in exprs])
+    assert _outcome(lambda: compile_exprs(exprs)(env)) == want
+    assert _outcome(lambda: [evaluate(e, env) for e in exprs]) == want
+
+
+_BAD = Pow(Num(-2.0), 0.5)  # EvalError when it is reached
+
+
+@pytest.mark.parametrize("e", [
+    Add(Var("x"), Var("y")),  # unbound in the left operand
+    Add(Num(1.0), Mul(Num(2.0), Var("y"))),  # unbound in the right operand
+    Div(_BAD, Sub(Var("x"), Var("x"))),  # zero denominator before a bad numerator
+    Div(Var("x"), Sub(Var("x"), Var("x"))),  # ... whose numerator is computed already
+    Add(Div(Var("y"), Num(0.0)), _BAD),
+    Mul(Pow(Sub(Num(1.0), Var("x")), 1.5), Var("y")),  # negative base
+    Pow(Sub(Var("x"), Var("x")), -1.0),  # 0 to a negative power
+    Add(Call("gamma", (Neg(Var("x")),)), Call("gamma", (Num(0.0),))),  # gamma pole
+    Call("ml", (Num(0.5), Call("gamma", (Num(-1.0),)))),
+    Call("erf", (Var("x"),)),  # unknown function
+])
+def test_compiled_evaluation_raises_the_first_error_of_the_tree_walk(e):
+    with pytest.raises((EvalError, DomainError)) as want:
+        ref.evaluate(e, {"x": 2.0})
+    for fn in (lambda: compile_exprs((Num(1.0), e))({"x": 2.0}), lambda: evaluate(e, {"x": 2.0})):
+        with pytest.raises(type(want.value)) as got:
+            fn()
+        assert str(got.value) == str(want.value)
+
+
+def test_compiled_evaluation_is_built_once_and_read_at_many_points():
+    f = compile_exprs((parse("x^2 + y"), parse("x^2 - y"), parse("3")))
+    assert f({"x": 2.0, "y": 1.0}) == (5.0, 3.0, 3.0)
+    assert f({"x": 1.0, "y": 0.5}) == (1.5, 0.5, 3.0)
+    assert compile_exprs(())({}) == ()
+    with pytest.raises(TypeError, match="not an Expr"):
+        compile_exprs(("x",))
+
+
+def test_evaluate_and_free_vars_are_linear_in_the_shared_dag():
+    e = Var("x")
+    for _ in range(40):
+        e = Add(e, e)  # unfolded: 2^41 - 1 nodes
+    assert free_vars(e) == {"x"}
+    assert evaluate(e, {"x": 1.5}) == 1.5 * 2.0**40
+    assert compile_exprs((e, Mul(e, e)))({"x": 1.0}) == (2.0**40, 2.0**80)

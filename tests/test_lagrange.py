@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference_builders as ref
-from fracosc.bundle import BundleSpec, spray_to_dual
+from fracosc.bundle import BundleSpec, jet_lift, spray_to_dual
 from fracosc.errors import DomainError
 from fracosc.expr import Add, Mul, Num, Pow, Var, evaluate, normal_form, parse, to_str
 from fracosc.lagrange import (
@@ -189,6 +189,19 @@ def test_closed_loop_extremal_curve():
     curve = FracSeries(((x0, 0.0), (v, ALPHA), (G0, 2 * ALPHA)))
     ts = np.linspace(0.1, 2.0, 15)
     assert spray_ode_residual(SPEC11, solved, [curve], ts) < 1e-14
+
+
+def test_spray_ode_residual_equals_the_pointwise_loop():
+    # a detuned curve, so the residual is far from zero
+    solved = extract_spray(SPEC11, L_QUAD)
+    curve = FracSeries(((0.7, 0.0), (1.2, ALPHA), (0.9, 2 * ALPHA), (0.4, 3 * ALPHA)))
+    ts = np.linspace(0.1, 2.0, 15)
+    worst = 0.0
+    for t in ts:
+        jp = jet_lift([curve], ALPHA, SPEC11.k + 1, float(t))
+        worst = max(worst, abs(jp.y[SPEC11.k][0] - ref.evaluate(solved[0], jp.env())))
+    assert worst > 1e-3
+    assert spray_ode_residual(SPEC11, solved, [curve], ts) == worst
 
 
 def test_closed_loop_solver_corroboration():

@@ -1,5 +1,5 @@
 """Module boundaries of the package: no module reaches into another's
-private names."""
+private names, and only ``expr`` evaluates an Expr inside a loop."""
 
 import ast
 from pathlib import Path
@@ -28,4 +28,28 @@ def test_no_module_imports_a_private_name_from_another():
             for name in parts + names:
                 if _private(name):
                     offenders.append(f"{path.name}:{node.lineno} imports {name}")
+    assert offenders == []
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _calls_evaluate(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "evaluate"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "evaluate"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "expr")
+
+
+def test_no_module_evaluates_an_expr_in_a_loop():
+    # build once, evaluate many: loops read an evaluator from compile_exprs
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(loop, _LOOPS):
+                offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(loop)
+                              if _calls_evaluate(node)]
     assert offenders == []

@@ -103,6 +103,12 @@ def test_first_node_is_zero_for_both_schemes():
     assert np.array_equal(l1_derivative([2.5], 0.3, 0.1), [0.0])
 
 
+def test_empty_signals_give_empty_derivatives():
+    for out in (gl_derivative([], 0.5, 0.1), gl_derivative([], 0.5, 0.1, side="right"),
+                l1_derivative([], 0.5, 0.1)):
+        assert out.shape == (0,) and out.dtype == float
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.3, 1.5])
 def test_order_validation(bad):
     with pytest.raises(DomainError):

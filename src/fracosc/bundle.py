@@ -9,6 +9,9 @@ against the iterated reviewed derivative of a curve:
     y^{i(a)}(t) = D^(alpha a) x^i(t) / Gamma(1 + alpha a),
 
 where D^(alpha a) is the a-fold order-alpha derivative. Level 0 is the base.
+:func:`fracosc.geometry.jet_var` is the one function that spells these names.
+Natural-frame vectors and matrices order the slots x, y^{(1)}, ..., y^{(k)}:
+coordinate i (0-indexed) at level a has index a*n + i.
 
 Weight ladder
 -------------
@@ -83,7 +86,7 @@ from .expr import (
     simplify_node,
     terms_to_expr,
 )
-from .geometry import ChartMap, base_vars, require_invertible, weighted_jacobian_exprs
+from .geometry import ChartMap, jet_var, require_invertible, weighted_jacobian_exprs
 from .series import FracSeries, frac_derive
 from .specfun import gamma
 
@@ -129,22 +132,20 @@ class BundleSpec:
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"order must be in (0, 1], got {self.alpha}")
 
-    def x_names(self) -> tuple[str, ...]:
-        return base_vars(self.n)
-
-    def y_names(self, level: int) -> tuple[str, ...]:
-        return tuple(f"y{i + 1}_{level}" for i in range(self.n))
-
     def level_names(self, level: int) -> tuple[str, ...]:
         """Names at slot level 0..k (level 0 = base coordinates)."""
-        return self.x_names() if level == 0 else self.y_names(level)
+        return tuple(jet_var(i, level) for i in range(self.n))
+
+    def x_names(self) -> tuple[str, ...]:
+        return self.level_names(0)
+
+    def y_names(self, level: int) -> tuple[str, ...]:
+        return self.level_names(level)
 
     def all_names(self, upto: int | None = None) -> tuple[str, ...]:
+        """Names at levels 0..upto (default k) in slot order."""
         upto = self.k if upto is None else upto
-        out: list[str] = list(self.x_names())
-        for a in range(1, upto + 1):
-            out.extend(self.y_names(a))
-        return tuple(out)
+        return tuple(name for a in range(upto + 1) for name in self.level_names(a))
 
     @property
     def dim(self) -> int:
@@ -185,17 +186,12 @@ class JetPoint:
         return len(self.y)
 
     def env(self) -> dict[str, float]:
-        out = {f"x{i + 1}": v for i, v in enumerate(self.x)}
-        for a, level in enumerate(self.y, start=1):
-            for i, v in enumerate(level):
-                out[f"y{i + 1}_{a}"] = v
-        return out
+        return {jet_var(i, a): v
+                for a, level in enumerate((self.x, *self.y)) for i, v in enumerate(level)}
 
     def flat(self) -> np.ndarray:
-        out = list(self.x)
-        for level in self.y:
-            out.extend(level)
-        return np.array(out)
+        """Coordinates in slot order x, y^{(1)}, y^{(2)}, ..."""
+        return np.array([v for level in (self.x, *self.y) for v in level])
 
     def envs(self) -> list[dict[str, float]]:
         """The env at each grid point of a point lifted on a grid (see
@@ -280,22 +276,13 @@ def liouville_field(
 def tangent_shift(field: BundleField) -> BundleField:
     """Order-alpha tangent endomorphism J: slot level c feeds level c+1, the
     top level is annihilated, the base level of the image is zero."""
-    spec = field.spec
-    levels = [_zero_level(spec.n)]
-    for c in range(spec.k):
-        levels.append(field.coeffs[c])
-    return BundleField(spec, tuple(levels))
+    return BundleField(field.spec, (_zero_level(field.spec.n), *field.coeffs[:-1]))
 
 
 def tangent_structure_matrix(spec: BundleSpec) -> np.ndarray:
-    """J as a matrix on natural-frame coefficient vectors (integer 0/1);
-    nilpotent of index k+1 and rank k*n."""
-    d = spec.dim
-    J = np.zeros((d, d), dtype=int)
-    for c in range(spec.k):
-        for i in range(spec.n):
-            J[(c + 1) * spec.n + i, c * spec.n + i] = 1
-    return J
+    """J as a matrix on natural-frame coefficient vectors (integer 0/1): the
+    identity on each block (c+1, c); nilpotent of index k+1 and rank k*n."""
+    return np.eye(spec.dim, k=-spec.n, dtype=int)
 
 
 def spray_field(spec: BundleSpec, G: tuple[Expr, ...]) -> BundleField:
@@ -337,16 +324,16 @@ def _spray_terms(spec: BundleSpec, G_terms, f: Expr, f_terms) -> list[Term]:
     out = []
     w1 = expand_terms(Num(rung_weight(alpha, 1)))
     for h in range(n):
-        d = fold_terms(frac_partial_terms(f_terms, f"x{h + 1}", alpha))
-        out += multiply_terms(multiply_terms(w1, expand_terms(Var(f"y{h + 1}_1"))), d)
+        d = fold_terms(frac_partial_terms(f_terms, jet_var(h, 0), alpha))
+        out += multiply_terms(multiply_terms(w1, expand_terms(Var(jet_var(h, 1)))), d)
     for b in range(2, k + 1):
         w = expand_terms(Num(rung_weight(alpha, b)))
         for h in range(n):
-            d = expand_terms(classical_partial(f, f"y{h + 1}_{b - 1}"))
-            out += multiply_terms(multiply_terms(w, expand_terms(Var(f"y{h + 1}_{b}"))), d)
+            d = expand_terms(classical_partial(f, jet_var(h, b - 1)))
+            out += multiply_terms(multiply_terms(w, expand_terms(Var(jet_var(h, b)))), d)
     wk = expand_terms(Num(-rung_weight(alpha, k)))
     for h in range(n):
-        d = expand_terms(classical_partial(f, f"y{h + 1}_{k}"))
+        d = expand_terms(classical_partial(f, jet_var(h, k)))
         out += multiply_terms(multiply_terms(wk, G_terms[h]), d)
     return out
 
@@ -523,34 +510,27 @@ def dual_to_primal(M: DualCoefficients) -> PrimalCoefficients:
 
 
 def adapted_frame(spec: BundleSpec, N: PrimalCoefficients, env: dict[str, float]) -> np.ndarray:
-    """Rows = adapted fields delta_{(a)j} in natural-frame coordinates.
-
-    Row index r = a*n + j; F[r, (a+b)*n + m] = -N^{(b)}[m][j] for b >= 1."""
-    d = spec.dim
-    F = np.eye(d)
+    """Rows = adapted fields delta_{(a)j} in natural-frame coordinates:
+    block (a, a+b) is -N^{(b)T} for b >= 1, so F[a*n + j, (a+b)*n + m] =
+    -N^{(b)}[m][j]."""
+    F = np.eye(spec.dim)
+    blocks = F.reshape(spec.k + 1, spec.n, spec.k + 1, spec.n)  # a view of F
     Ns = N.values_at(env)
     for a in range(spec.k + 1):
         for b in range(1, spec.k - a + 1):
-            Nb = Ns[b - 1]
-            for j in range(spec.n):
-                for m in range(spec.n):
-                    F[a * spec.n + j, (a + b) * spec.n + m] = -Nb[m][j]
+            blocks[a, :, a + b, :] = -Ns[b - 1].T
     return F
 
 
 def dual_coframe(spec: BundleSpec, M: DualCoefficients, env: dict[str, float]) -> np.ndarray:
-    """Rows = adapted covectors in natural-coframe coordinates.
-
-    Row index r = a*n + j; D[r, (a-b)*n + m] = +M^{(b)}[j][m] for b >= 1."""
-    d = spec.dim
-    D = np.eye(d)
+    """Rows = adapted covectors in natural-coframe coordinates: block (a, a-b)
+    is M^{(b)} for b >= 1, so D[a*n + j, (a-b)*n + m] = M^{(b)}[j][m]."""
+    D = np.eye(spec.dim)
+    blocks = D.reshape(spec.k + 1, spec.n, spec.k + 1, spec.n)  # a view of D
     Ms = M.values_at(env)
     for a in range(spec.k + 1):
         for b in range(1, a + 1):
-            Mb = Ms[b - 1]
-            for j in range(spec.n):
-                for m in range(spec.n):
-                    D[a * spec.n + j, (a - b) * spec.n + m] = Mb[j][m]
+            blocks[a, :, a - b, :] = Ms[b - 1]
     return D
 
 
@@ -572,7 +552,7 @@ def spray_to_dual(spec: BundleSpec, G: tuple[Expr, ...]) -> DualCoefficients:
     the fibres)."""
     n, alpha = spec.n, spec.alpha
     M1, M1_terms = _fold_matrix([
-        [normalize_terms(classical_partial(G[i], f"y{j + 1}_1")) for j in range(n)]
+        [normalize_terms(classical_partial(G[i], jet_var(j, 1))) for j in range(n)]
         for i in range(n)])
     mats, prev = [M1], M1_terms
     G_terms = [expand_terms(g) for g in G] if spec.k > 1 else []  # S runs for k > 1 only

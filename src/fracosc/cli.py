@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,6 +44,7 @@ from .errors import (
 from .expr import (  # noqa: F401
     Add, Mul, Num, Pow, Var, compile_exprs, evaluate, normalize_terms, parse, to_str,
 )
+from .geometry import base_vars, jet_var
 from .lagrange import (
     el_residual,
     reference_problem_classical,
@@ -87,6 +89,27 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _gate(worst: float, tol: float | None, what: str) -> int:
+    """Exit code of an ``--assert`` gate: 3, with one line on stderr, when the
+    worst residual exceeds ``tol`` or is NaN; 0 otherwise or without a gate."""
+    if tol is None or worst <= tol:
+        return 0
+    print(f"assertion failed: {what} {worst:.3e} > {tol:.3e}", file=sys.stderr)
+    return 3
+
+
+def _finite(text: str) -> float:
+    """argparse type of a number option: a float that is neither NaN nor
+    infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -95,6 +118,8 @@ def _parse_grid(text: str) -> np.ndarray:
         a, b, h = (float(p) for p in parts)
     except ValueError:
         raise ParseError(f"grid values must be numbers: {text!r}") from None
+    if not all(map(math.isfinite, (a, b, h))):
+        raise ParseError(f"grid values must be finite: {text!r}")
     if h <= 0 or b <= a:
         raise ParseError("grid needs stop > start and step > 0")
     n = int(np.floor((b - a) / h + 1e-9)) + 1
@@ -166,7 +191,7 @@ def _reference_problem(cfg):
     perturb = get_float(cfg, "el.perturb", 0.0)
     if perturb != 0.0:
         # deliberately detune the Lagrangian (not the target)
-        bad = Add(prob.lagrangian, Mul(Num(perturb), Pow(Var("y1_1"), fibre_exp)))
+        bad = Add(prob.lagrangian, Mul(Num(perturb), Pow(Var(jet_var(0, 1)), fibre_exp)))
         prob = type(prob)(prob.spec, bad, prob.target, prob.mode)
     return prob, kind
 
@@ -177,12 +202,10 @@ def _el_reference(cfg, sha, tol, out) -> int:
     seed = get_int(cfg, "el.seed", 7)
     rng = np.random.default_rng(seed)
     prob.residual  # built up front, so a bad Lagrangian fails even with no samples
-    worst = 0.0
-    for _ in range(samples):
-        env = {"x1": rng.uniform(0.5, 2.0)}
-        for a in range(1, prob.spec.k + 2):
-            env[f"y1_{a}"] = rng.uniform(0.5, 2.0)
-        worst = max(worst, reference_residual(prob, env))
+    names = prob.spec.all_names(prob.spec.k + 1)
+    residuals = [reference_residual(prob, {name: rng.uniform(0.5, 2.0) for name in names})
+                 for _ in range(samples)]
+    worst = float(np.max(residuals, initial=0.0))  # NaN, if any, propagates
     payload = {
         "tool": "fracosc",
         "version": __version__,
@@ -198,11 +221,7 @@ def _el_reference(cfg, sha, tol, out) -> int:
         "config_sha256": sha,
     }
     _write([_json(payload)], out)
-    if tol is not None and worst > tol:
-        print(f"assertion failed: max residual {worst:.3e} > {tol:.3e}",
-              file=sys.stderr)
-        return 3
-    return 0
+    return _gate(worst, tol, "max residual")
 
 
 def _el_curve(cfg, sha, tol, out) -> int:
@@ -213,10 +232,8 @@ def _el_curve(cfg, sha, tol, out) -> int:
         raise ParseError(f"el.kind must be fractional or classical, got {mode!r}")
     L = parse(get_str(cfg, "el.lagrangian"))
     curves = []
-    i = 1
-    while f"curve.x{i}" in cfg:
-        curves.append(FracSeries.from_json_text(cfg[f"curve.x{i}"]))
-        i += 1
+    while (key := f"curve.{jet_var(len(curves), 0)}") in cfg:
+        curves.append(FracSeries.from_json_text(cfg[key]))
     if not curves:
         raise ParseError("curve mode needs curve.x1 (JSON [[coeff, exponent], ...])")
     spec = BundleSpec(len(curves), k, alpha)
@@ -224,20 +241,12 @@ def _el_curve(cfg, sha, tol, out) -> int:
     if ts[0] <= 0.0:
         ts = ts[1:]  # jets of power curves blow up / degenerate at t = 0
     residual = compile_exprs(el_residual(spec, L, mode))
-    rows = []
-    worst = 0.0
-    for env in jet_lift(curves, alpha, k + 1, ts).envs():
-        res = residual(env)
-        worst = max(worst, max(abs(r) for r in res))
-        rows.append(res)
+    rows = np.array([residual(env) for env in jet_lift(curves, alpha, k + 1, ts).envs()])
+    rows = rows.reshape(len(ts), spec.n)
     meta = {"alpha": repr(alpha), "k": k, "n": spec.n, "config_sha256": sha}
     cols = ["t"] + [f"residual_{i + 1}" for i in range(spec.n)]
-    _write(_csv(meta, cols, [ts, *np.array(rows).reshape(len(ts), spec.n).T]), out)
-    if tol is not None and worst > tol:
-        print(f"assertion failed: max residual {worst:.3e} > {tol:.3e}",
-              file=sys.stderr)
-        return 3
-    return 0
+    _write(_csv(meta, cols, [ts, *rows.T]), out)
+    return _gate(float(np.max(np.abs(rows), initial=0.0)), tol, "max residual")
 
 
 def cmd_el(args) -> int:
@@ -298,16 +307,8 @@ def cmd_connection(args) -> int:
         "config_sha256": sha,
     }
     _write([_json(payload)], args.out)
-    if args.assert_tol is not None:
-        worst = max(payload["checks"].values())
-        if worst > args.assert_tol:
-            print(
-                f"assertion failed: self-check residual {worst:.3e} > "
-                f"{args.assert_tol:.3e}",
-                file=sys.stderr,
-            )
-            return 3
-    return 0
+    worst = float(np.max(list(payload["checks"].values())))
+    return _gate(worst, args.assert_tol, "self-check residual")
 
 
 # ------------------------------------------------------------------- solve --
@@ -321,7 +322,7 @@ def cmd_solve(args) -> int:
     x0 = np.array(get_floats(cfg, "solve.x0"))
     n = len(x0)
     f = compile_exprs([parse(get_str(cfg, f"solve.rhs.{i + 1}")) for i in range(n)])
-    names = [f"x{i + 1}" for i in range(n)]
+    names = base_vars(n)
 
     def rhs(t, s):
         env = {"t": float(t)}
@@ -330,7 +331,7 @@ def cmd_solve(args) -> int:
 
     res = solve_fode(rhs, x0, alpha, t_end, h)
     meta = {"alpha": repr(alpha), "k": 1, "n": n, "config_sha256": sha}
-    cols = ["t"] + names
+    cols = ["t", *names]
     _write(_csv(meta, cols, [res.t, *res.x.T]), args.out)
     return 0
 
@@ -348,7 +349,7 @@ def build_parser() -> _Parser:
     src = d.add_mutually_exclusive_group(required=True)
     src.add_argument("--expr", help="expression in t, e.g. 't^2 + 1'")
     src.add_argument("--series", help="JSON [[coeff, exponent], ...]")
-    d.add_argument("--alpha", type=float, required=True)
+    d.add_argument("--alpha", type=_finite, required=True)
     d.add_argument("--grid", required=True, help="start:stop:step")
     d.add_argument("--scheme", choices=("exact", "gl", "l1"), default="exact")
     d.add_argument("--side", choices=("left", "right"), default="left")
@@ -357,14 +358,14 @@ def build_parser() -> _Parser:
 
     e = sub.add_parser("el", help="Euler-Lagrange residual runs")
     e.add_argument("--config", required=True)
-    e.add_argument("--assert", dest="assert_tol", type=float, default=None,
+    e.add_argument("--assert", dest="assert_tol", type=_finite, default=None,
                    help="exit 3 if the max residual exceeds this")
     e.add_argument("--out")
     e.set_defaults(func=cmd_el)
 
     c = sub.add_parser("connection", help="nonlinear connection from a spray")
     c.add_argument("--config", required=True)
-    c.add_argument("--assert", dest="assert_tol", type=float, default=None,
+    c.add_argument("--assert", dest="assert_tol", type=_finite, default=None,
                    help="exit 3 if a self-check residual exceeds this")
     c.add_argument("--out")
     c.set_defaults(func=cmd_connection)
@@ -399,6 +400,9 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("expression error: too long or too deeply nested", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ Typical file:
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 
 from .errors import ParseError
@@ -69,9 +70,12 @@ def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> fl
             _missing(key)
         return default
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ParseError(f"config key {key!r} is not a number: {cfg[key]!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"config key {key!r} is not finite: {cfg[key]!r}")
+    return value
 
 
 def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
@@ -86,13 +90,16 @@ def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
 
 
 def get_floats(cfg: dict[str, str], key: str, default=None) -> tuple[float, ...]:
-    """Comma-separated list of numbers."""
+    """Comma-separated list of finite numbers."""
     if key not in cfg:
         if default is None:
             _missing(key)
         return tuple(default)
     parts = [p.strip() for p in cfg[key].split(",") if p.strip()]
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise ParseError(f"config key {key!r} is not a number list: {cfg[key]!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"config key {key!r} has a non-finite entry: {cfg[key]!r}")
+    return values

@@ -52,6 +52,7 @@ from .expr import (
     terms_to_expr,
     to_str,
 )
+from .geometry import jet_var
 
 __all__ = [
     "MetricField",
@@ -151,13 +152,13 @@ class MetricalConnection:
 
     def delta_x(self, f: Expr, j: int) -> Expr:
         """Delta along the j-th base direction (0-indexed)."""
-        return terms_to_expr(self._delta(normalize_terms(f), f"x{j + 1}", j, 0))
+        return terms_to_expr(self._delta(normalize_terms(f), j, 0))
 
     def delta_y(self, f: Expr, a: int, i: int) -> Expr:
         """Delta along fibre direction y^{i(a)} (level a in 1..k, i 0-indexed)."""
         if not (1 <= a <= self.spec.k):
             raise DomainError(f"fibre level must be in 1..{self.spec.k}, got {a}")
-        return terms_to_expr(self._delta(normalize_terms(f), f"y{i + 1}_{a}", i, a))
+        return terms_to_expr(self._delta(normalize_terms(f), i, a))
 
     @cached_property
     def _primal_terms(self) -> tuple:
@@ -165,15 +166,15 @@ class MetricalConnection:
         return tuple(tuple(tuple(expand_terms(e) for e in row) for row in mat)
                      for mat in self.primal.mats)
 
-    def _delta(self, f: tuple[Term, ...], var: str, i: int, a: int) -> tuple[Term, ...]:
-        """Collected terms of D_var f - sum_{b,m} N^{(b)m}_i D_{y^{m(a+b)}} f
+    def _delta(self, f: tuple[Term, ...], i: int, a: int) -> tuple[Term, ...]:
+        """Collected terms of D_{(a)i} f - sum_{b,m} N^{(b)m}_i D_{(a+b)m} f
         for f given by its collected terms: the derivation along the base
         direction i when a = 0, along y^{i(a)} otherwise."""
         spec = self.spec
-        out = fold_terms(frac_partial_terms(f, var, spec.alpha))
+        out = fold_terms(frac_partial_terms(f, jet_var(i, a), spec.alpha))
         for b in range(1, spec.k - a + 1):
             for m in range(spec.n):
-                d = fold_terms(frac_partial_terms(f, f"y{m + 1}_{a + b}", spec.alpha))
+                d = fold_terms(frac_partial_terms(f, jet_var(m, a + b), spec.alpha))
                 out += negate_terms(multiply_terms(self._primal_terms[b - 1][m][i], d))
         return collect_terms(out)
 
@@ -188,9 +189,8 @@ class MetricalConnection:
         entries = [(s, l, normalize_terms(self.metric.entry(s, l)))
                    for s in range(n) for l in range(s, n)]
         return tuple(
-            tuple((j, s, l, terms_to_expr(self._delta(g, var, j, a)))
-                  for s, l, g in entries
-                  for j, var in enumerate(self.spec.level_names(a)))
+            tuple((j, s, l, terms_to_expr(self._delta(g, j, a)))
+                  for s, l, g in entries for j in range(n))
             for a in range(k + 1))
 
     @cached_property
@@ -234,13 +234,12 @@ class MetricalConnection:
     # -- compatibility and covariant derivative --------------------------------
 
     def metricity_residual(self, env: dict[str, float]) -> float:
-        """max over all adapted directions of the covariant derivative of g;
-        zero up to inversion rounding for any primal coefficients."""
+        """max over all adapted directions of the covariant derivative of g
+        (NaN if any is NaN); zero up to inversion rounding for any primal
+        coefficients."""
         coeff, g, Dgs = self._coefficients_with_dg(env)
-        worst = _nabla_g_norm(g, Dgs[0], coeff.L)
-        for Dg, K in zip(Dgs[1:], coeff.C):
-            worst = max(worst, _nabla_g_norm(g, Dg, K))
-        return worst
+        norms = [_nabla_g_norm(g, Dg, K) for Dg, K in zip(Dgs, (coeff.L, *coeff.C))]
+        return float(np.max(norms))
 
     def covariant_derivative_x(self, tensor, env: dict[str, float]) -> np.ndarray:
         """Adapted covariant derivative of a covariant tensor (nested tuples of

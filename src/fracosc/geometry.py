@@ -61,6 +61,7 @@ from .specfun import gamma
 
 __all__ = [
     "ChartMap",
+    "jet_var",
     "base_vars",
     "weighted_jacobian_exprs",
     "frac_jacobian",
@@ -74,9 +75,16 @@ __all__ = [
 ]
 
 
+def jet_var(i: int, level: int) -> str:
+    """Name of jet coordinate i (0-indexed) at level 0, 1, 2, ...: ``x<i+1>``
+    on the base, ``y<i+1>_<level>`` on the fibres. The one place in the
+    package that spells a coordinate name."""
+    return f"x{i + 1}" if level == 0 else f"y{i + 1}_{level}"
+
+
 def base_vars(n: int) -> tuple[str, ...]:
     """Canonical base coordinate names x1..xn."""
-    return tuple(f"x{i + 1}" for i in range(n))
+    return tuple(jet_var(i, 0) for i in range(n))
 
 
 @dataclass(frozen=True)

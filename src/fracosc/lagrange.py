@@ -87,6 +87,7 @@ from .expr import (
     normalize_terms,
     terms_to_expr,
 )
+from .geometry import jet_var
 from .series import FracSeries
 from .specfun import gamma
 
@@ -113,11 +114,6 @@ __all__ = [
     "prolong_finsler",
     "prolong_lagrange",
 ]
-
-
-def jet_var(i: int, level: int) -> str:
-    """Variable name for coordinate i (0-indexed) at jet level 0..k+1."""
-    return f"x{i + 1}" if level == 0 else f"y{i + 1}_{level}"
 
 
 def _source(f: Expr, mode: str):
@@ -171,16 +167,10 @@ def _dragged(spec: BundleSpec, L, i: int, a: int, mode: str,
     return fold_terms(_jet_terms(spec, inner, mode, levels))
 
 
-def total_jet_derivative(
-    spec: BundleSpec,
-    f: Expr,
-    mode: str = "fractional",
-    levels: int | None = None,
-) -> Expr:
+def total_jet_derivative(spec: BundleSpec, f: Expr, mode: str = "fractional") -> Expr:
     """Single application of d_t = sum_{i,b} y^{i(b)} d_{y^{i(b-1)}}, with b
-    running to ``levels`` (default k+1, the overshoot needed by the
-    Euler-Lagrange residual)."""
-    return terms_to_expr(_jet_terms(spec, _source(f, mode), mode, levels))
+    running to k+1, the overshoot needed by the Euler-Lagrange residual."""
+    return terms_to_expr(_jet_terms(spec, _source(f, mode), mode))
 
 
 def el_residual(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Expr, ...]:
@@ -325,7 +315,7 @@ class ReferenceProblem:
 
 def _reference_target(alpha: float, power: float, c: float, coeffs) -> Expr:
     lead = c * gamma(1.0 + power) / gamma(1.0 + power - alpha)
-    target: Expr = Mul(Num(lead), Pow(Var("x1"), power - alpha))
+    target: Expr = Mul(Num(lead), Pow(Var(jet_var(0, 0)), power - alpha))
     for a, a_coeff in enumerate(coeffs, start=1):
         scale = a_coeff * gamma(1.0 + alpha * (a + 1))
         target = Add(target, Mul(Num(scale), Var(jet_var(0, a + 1))))
@@ -354,7 +344,7 @@ def reference_problem_fractional(
     k = len(coeffs)
     spec = BundleSpec(1, k, alpha)
     exponent = alpha if fibre_exponent_alpha else 2.0 * alpha
-    L: Expr = Mul(Num(c), Pow(Var("x1"), power))
+    L: Expr = Mul(Num(c), Pow(Var(jet_var(0, 0)), power))
     for a, a_coeff in enumerate(coeffs, start=1):
         c_a = (-1.0) ** a * a_coeff * gamma(1.0 + alpha * (a + 1)) / gamma(1.0 + 2.0 * alpha)
         L = Add(L, Mul(Num(c_a), Pow(Var(jet_var(0, a)), exponent)))
@@ -378,7 +368,7 @@ def reference_problem_classical(
     k = len(coeffs)
     spec = BundleSpec(1, k, alpha)
     lead = c * gamma(1.0 + power) / (gamma(1.0 + power - alpha) * (power - alpha + 1.0))
-    L: Expr = Mul(Num(lead), Pow(Var("x1"), power - alpha + 1.0))
+    L: Expr = Mul(Num(lead), Pow(Var(jet_var(0, 0)), power - alpha + 1.0))
     for a, a_coeff in enumerate(coeffs, start=1):
         c_a = (-1.0) ** a * 0.5 * a_coeff * gamma(1.0 + alpha * (a + 1))
         L = Add(L, Mul(Num(c_a), Pow(Var(jet_var(0, a)), 2.0)))
@@ -462,7 +452,7 @@ def canonical_prolongation(spec: BundleSpec, rows, inverse_rows=None) -> Prolong
     ginv = diagonal_inverse(spec, rows) if inverse_rows is None else inverse_rows
     ginv = [[expand_terms(e) for e in row] for row in ginv]
     g = [[normalize_terms(e) for e in row] for row in rows]
-    dg = [[[fold_terms(frac_partial_terms(e, f"x{j + 1}", alpha)) for e in row] for row in g]
+    dg = [[[fold_terms(frac_partial_terms(e, jet_var(j, 0), alpha)) for e in row] for row in g]
           for j in range(n)]
 
     def christoffel(i: int, j: int, l: int) -> tuple[Term, ...]:

@@ -107,9 +107,11 @@ class FracSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient_at(self, exponent: float, tol: float = EXP_SNAP) -> float:
+    def coefficient_at(self, exponent: float) -> float:
+        """The coefficient of the term whose exponent is within EXP_SNAP of
+        ``exponent``, 0 if there is none."""
         for c, e in self.terms:
-            if abs(e - exponent) <= tol:
+            if abs(e - exponent) <= EXP_SNAP:
                 return c
         return 0.0
 
@@ -146,9 +148,12 @@ class FracSeries:
 
     @staticmethod
     def from_json_text(text: str) -> "FracSeries":
+        """Inverse of :meth:`to_json_text`; every number must be finite."""
         try:
-            data = json.loads(text)
-            return FracSeries([(float(c), float(e)) for c, e in data])
+            terms = [(float(c), float(e)) for c, e in json.loads(text)]
+            if not np.all(np.isfinite(terms)):
+                raise ValueError("numbers must be finite")
+            return FracSeries(terms)
         except (ValueError, TypeError) as exc:
             raise DomainError(f"bad series text {text!r}: {exc}") from None
 
@@ -206,14 +211,14 @@ def semigroup_residual(f: FracSeries, alpha: float, beta: float) -> float:
     return series_distance(direct, split)
 
 
-def series_distance(a: FracSeries, b: FracSeries, exp_tol: float = 1e-9) -> float:
-    """max coefficient discrepancy after matching exponents within exp_tol."""
+def series_distance(a: FracSeries, b: FracSeries) -> float:
+    """max coefficient discrepancy after matching exponents within 1e-9."""
     worst = 0.0
     used = [False] * len(b.terms)
     for c1, e1 in a.terms:
         hit = None
         for j, (c2, e2) in enumerate(b.terms):
-            if not used[j] and abs(e1 - e2) <= exp_tol:
+            if not used[j] and abs(e1 - e2) <= 1e-9:
                 hit = j
                 break
         if hit is None:

@@ -9,8 +9,12 @@ normal form of the whole sum, re-distributing every piece. ``evaluate`` walks
 the unfolded tree, so a shared subtree is computed once per path. They are
 kept only as the oracle that the library's builders and its compiled
 evaluator must reproduce exactly (``==``, the same printed form including
-signed zeros, the same float bits, the same first error).
+signed zeros, the same float bits, the same first error). The natural-frame
+matrices at the end fill one entry at a time from the slot index a*n + i; the
+library assigns whole n x n blocks and must match them byte for byte.
 """
+
+import numpy as np
 
 from fracosc.bundle import DualCoefficients, PrimalCoefficients, rung_weight
 from fracosc.errors import DomainError, EvalError
@@ -424,3 +428,41 @@ def spray_to_dual(spec, G):
                   for j in range(n))
             for i in range(n)))
     return DualCoefficients(spec, tuple(mats))
+
+
+# ------------------------------------------- natural-frame matrices by entry --
+
+
+def tangent_structure_matrix(spec):
+    d = spec.dim
+    J = np.zeros((d, d), dtype=int)
+    for c in range(spec.k):
+        for i in range(spec.n):
+            J[(c + 1) * spec.n + i, c * spec.n + i] = 1
+    return J
+
+
+def adapted_frame(spec, N, env):
+    d = spec.dim
+    F = np.eye(d)
+    Ns = N.values_at(env)
+    for a in range(spec.k + 1):
+        for b in range(1, spec.k - a + 1):
+            Nb = Ns[b - 1]
+            for j in range(spec.n):
+                for m in range(spec.n):
+                    F[a * spec.n + j, (a + b) * spec.n + m] = -Nb[m][j]
+    return F
+
+
+def dual_coframe(spec, M, env):
+    d = spec.dim
+    D = np.eye(d)
+    Ms = M.values_at(env)
+    for a in range(spec.k + 1):
+        for b in range(1, a + 1):
+            Mb = Ms[b - 1]
+            for j in range(spec.n):
+                for m in range(spec.n):
+                    D[a * spec.n + j, (a - b) * spec.n + m] = Mb[j][m]
+    return D

@@ -34,8 +34,9 @@ from fracosc.bundle import (
     transform_primal_first_order,
 )
 from fracosc.errors import DomainError
-from fracosc.expr import evaluate, normal_form, parse, to_str
-from fracosc.geometry import ChartMap, weighted_jacobian_exprs
+from fracosc import lagrange
+from fracosc.expr import Num, evaluate, normal_form, parse, to_str
+from fracosc.geometry import ChartMap, base_vars, jet_var, weighted_jacobian_exprs
 from fracosc.series import FracSeries
 from fracosc.specfun import gamma
 
@@ -56,6 +57,14 @@ def test_spec_names():
         "x1", "x2", "y1_1", "y2_1", "y1_2", "y2_2", "y1_3", "y2_3",
     )
     assert spec.dim == 8
+    # one naming function; slot a*n + i holds coordinate i at level a
+    assert lagrange.jet_var is jet_var
+    assert base_vars(2) == spec.level_names(0) == spec.x_names()
+    assert spec.level_names(3) == spec.y_names(3) == ("y1_3", "y2_3")
+    assert spec.all_names(4)[-2:] == (jet_var(0, 4), jet_var(1, 4)) == ("y1_4", "y2_4")
+    jp = JetPoint((1.0, 2.0), ((3.0, 4.0), (5.0, 6.0), (7.0, 8.0), (9.0, 10.0)))
+    assert list(jp.env()) == list(spec.all_names(4))
+    assert list(jp.env().values()) == jp.flat().tolist() == [float(v) for v in range(1, 11)]
 
 
 @pytest.mark.parametrize("n,k,alpha", [(0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.0), (1, 1, 1.2)])
@@ -264,6 +273,30 @@ def test_dual_recursion_k2_hand_value():
     M = primal_to_dual(N)
     assert evaluate(M.order(1)[0][0], {}) == pytest.approx(3.0)
     assert evaluate(M.order(2)[0][0], {}) == pytest.approx(5.0 + 9.0)
+
+
+def _sparse_coefficients(rng, spec):
+    """k random n x n matrices of constants, about half of the entries 0.0
+    and the rest of both signs; the first matrix is never symmetric."""
+    mats = rng.uniform(-2.0, 2.0, size=(spec.k, spec.n, spec.n))
+    mats[rng.uniform(size=mats.shape) < 0.5] = 0.0
+    if spec.n > 1:
+        mats[0, 0, 1], mats[0, 1, 0] = 1.5, 0.0
+    return tuple(tuple(tuple(Num(float(v)) for v in row) for row in mat) for mat in mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_natural_frame_matrices_match_the_entrywise_builders(n, k):
+    spec = BundleSpec(n, k, 0.5)
+    rng = np.random.default_rng(10 * n + k)
+    N = PrimalCoefficients(spec, _sparse_coefficients(rng, spec))
+    M = DualCoefficients(spec, _sparse_coefficients(rng, spec))
+    J = tangent_structure_matrix(spec)
+    assert J.dtype == ref.tangent_structure_matrix(spec).dtype
+    assert J.tobytes() == ref.tangent_structure_matrix(spec).tobytes()
+    assert adapted_frame(spec, N, {}).tobytes() == ref.adapted_frame(spec, N, {}).tobytes()
+    assert dual_coframe(spec, M, {}).tobytes() == ref.dual_coframe(spec, M, {}).tobytes()
 
 
 def test_adapted_frame_and_coframe_blocks():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import _reference_builders as ref
+from fracosc import cli
 from fracosc.bundle import BundleSpec, jet_lift
-from fracosc.cli import main
+from fracosc.cli import _gate, main
 from fracosc.config import (
     get_float,
     get_floats,
@@ -70,6 +71,14 @@ def test_config_required_key_missing():
         get_float({}, "needed")
     with pytest.raises(ParseError):
         get_int({"x": "not-an-int"}, "x")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400"])
+def test_config_numbers_must_be_finite(text):
+    with pytest.raises(ParseError, match="is not finite"):
+        get_float({"f": text}, "f")
+    with pytest.raises(ParseError, match="non-finite entry"):
+        get_floats({"v": f"1.0, {text}"}, "v")
 
 
 def test_load_config_hashes_bytes(tmp_path):
@@ -264,6 +273,120 @@ def test_solve_bad_rhs_is_config_error(tmp_path):
         "solve.x0 = 1.0\nsolve.rhs.1 = x1 +\n"
     )
     assert main(["solve", "--config", str(p)]) == 1
+
+
+# ------------------------------------------------- numbers from outside --
+
+
+@pytest.mark.parametrize("argv", [
+    ["deriv", "--expr", "t^2", "--alpha", "nan", "--grid", "0:1:0.5"],
+    ["deriv", "--expr", "t^2", "--alpha=-inf", "--grid", "0:1:0.5"],
+    ["el", "--config", f"{CONFIGS}/el_perturbed.cfg", "--assert", "nan"],
+    ["connection", "--config", f"{CONFIGS}/connection_demo.cfg", "--assert", "inf"],
+])
+def test_number_options_must_be_finite(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a finite number" in captured.err
+
+
+@pytest.mark.parametrize("grid", ["0:nan:0.5", "0:1:inf", "-inf:1:0.5"])
+def test_grid_values_must_be_finite(grid, capsys):
+    assert main(["deriv", "--expr", "t^2", "--alpha", "0.5", f"--grid={grid}"]) == 1
+    assert "grid values must be finite" in capsys.readouterr().err
+
+
+def _curve_config(tmp_path, lagrangian, curve):
+    p = tmp_path / "curve.cfg"
+    p.write_text("el.mode = curve\nel.alpha = 0.5\nel.k = 1\n"
+                 f"el.lagrangian = {lagrangian}\nel.grid = 0.5:1.0:0.5\ncurve.x1 = {curve}\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("series", ["[[NaN, 1.0]]", "[[1e400, 1.0]]"])
+def test_series_numbers_must_be_finite(series, tmp_path, capsys):
+    assert main(["deriv", "--series", series, "--alpha", "0.5", "--grid", "0:1:0.5"]) == 2
+    assert main(["el", "--config", _curve_config(tmp_path, "y1_1^2", series)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("numbers must be finite") == 2
+
+
+@pytest.mark.parametrize("key,value", [("h", "nan"), ("x0", "inf"), ("t_end", "1e400")])
+def test_config_numbers_must_be_finite_in_a_run(key, value, tmp_path, capsys):
+    cfg = {"alpha": "0.5", "h": "0.1", "t_end": "1.0", "x0": "1.0", "rhs.1": "x1", key: value}
+    p = tmp_path / "s.cfg"
+    p.write_text("".join(f"solve.{k} = {v}\n" for k, v in cfg.items()))
+    assert main(["solve", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+# ------------------------------------------------------ accuracy gates --
+
+
+def test_gate_fails_on_a_nan_residual(capsys):
+    assert _gate(float("nan"), 1e-10, "max residual") == 3
+    assert capsys.readouterr().err == "assertion failed: max residual nan > 1.000e-10\n"
+    assert _gate(1e-12, 1e-10, "max residual") == 0
+    assert _gate(float("nan"), None, "max residual") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_el_curve_nan_residuals_fail_the_assertion(tmp_path, capsys):
+    # the products overflow to inf, and inf - inf leaves every row NaN
+    cfg = _curve_config(tmp_path, "1e300 * x1^2 * y1_1^2", "[[1e3, 1.0]]")
+    assert main(["el", "--config", cfg, "--assert", "1e-10"]) == 3
+    captured = capsys.readouterr()
+    assert _rows(captured.out) == ["0.5,nan", "1.0,nan"]
+    assert captured.err == "assertion failed: max residual nan > 1.000e-10\n"
+
+
+def test_el_reference_nan_sample_fails_the_assertion(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def residual(prob, env):  # NaN at the second sample only
+        calls.append(env)
+        return float("nan") if len(calls) == 2 else 0.0
+
+    monkeypatch.setattr(cli, "reference_residual", residual)
+    out = tmp_path / "r.json"
+    rc = main(["el", "--config", f"{CONFIGS}/el_reference.cfg", "--assert", "1e-8",
+               "--out", str(out)])
+    assert rc == 3 and len(calls) > 2
+    assert np.isnan(json.loads(out.read_text())["max_residual"])
+    assert "max residual nan" in capsys.readouterr().err
+
+
+def test_connection_nan_check_fails_the_assertion(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "pairing_residual", lambda *args: float("nan"))
+    rc = main(["connection", "--config", f"{CONFIGS}/connection_demo.cfg",
+               "--assert", "1e-8", "--out", str(tmp_path / "c.json")])
+    assert rc == 3
+    assert "self-check residual nan" in capsys.readouterr().err
+
+
+# ----------------------------------------------------- long expressions --
+
+
+def _long_rhs_config(tmp_path):
+    p = tmp_path / "long.cfg"
+    p.write_text("solve.alpha = 0.5\nsolve.h = 0.1\nsolve.t_end = 1.0\nsolve.x0 = 1.0\n"
+                 f"solve.rhs.1 = {' + '.join(['x1'] * 1200)}\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["deriv", "--expr", " + ".join(["t"] * 1200), "--alpha", "0.5",
+                 "--grid", "0:1:0.5"],
+    lambda tmp: ["deriv", "--expr", "(" * 300 + "t" + ")" * 300, "--alpha", "0.5",
+                 "--grid", "0:1:0.5"],
+    lambda tmp: ["solve", "--config", _long_rhs_config(tmp)],
+])
+def test_too_long_expressions_are_one_line_errors(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "expression error: too long or too deeply nested\n"
 
 
 # ------------------------------------------- rows against per-point values --

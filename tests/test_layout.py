@@ -1,7 +1,9 @@
 """Module boundaries of the package: no module reaches into another's
-private names, and only ``expr`` evaluates an Expr inside a loop."""
+private names, only ``expr`` evaluates an Expr inside a loop, and only
+``geometry.jet_var`` spells a jet-coordinate name."""
 
 import ast
+import re
 from pathlib import Path
 
 import fracosc
@@ -52,4 +54,34 @@ def test_no_module_evaluates_an_expr_in_a_loop():
             if isinstance(loop, _LOOPS):
                 offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(loop)
                               if _calls_evaluate(node)]
+    assert offenders == []
+
+
+#: a jet-coordinate name in an f-string template (placeholders as "{}"):
+#: x{}, y{}_..., y<digits>_{}, not preceded by a letter, digit or underscore
+_SPELLED = re.compile(r"(?<![A-Za-z0-9_])(x\{\}|y\{\}|y\d+_\{\})")
+#: a whole jet-coordinate name as a string constant: x1, y2_3, ...
+_NAME = re.compile(r"x\d+|y\d+_\d+")
+
+
+def _template(node: ast.JoinedStr) -> str:
+    return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+
+
+def test_only_jet_var_spells_a_jet_coordinate_name():
+    # coordinate names and their slot order have one owner, geometry.jet_var
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = set()
+        if path.name == "geometry.py":
+            owner = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef)
+                     and f.name == "jet_var" for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if id(node) in owner:
+                continue
+            if isinstance(node, ast.JoinedStr) and _SPELLED.search(_template(node)) or (
+                    isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and _NAME.fullmatch(node.value)):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []

@@ -167,7 +167,7 @@ def test_ml_reconstruct_recovers_alpha_lattice_series(data):
     )
     f = FracSeries([(c, alpha * m) for c, m in zip(coeffs, orders)])
     rebuilt = ml_reconstruct(f, alpha, 10)
-    assert series_distance(f, rebuilt, exp_tol=1e-9) <= 1e-12
+    assert series_distance(f, rebuilt) <= 1e-12
 
 
 def test_ml_series_is_derivative_eigenfunction_fragment():
@@ -220,6 +220,13 @@ def test_json_round_trip():
     assert FracSeries.from_json_text(f.to_json_text()) == f
     with pytest.raises(DomainError):
         FracSeries.from_json_text("not json")
+
+
+@pytest.mark.parametrize("text", ["[[NaN, 1.0]]", "[[1.0, Infinity]]", "[[1.0, 0.0], [-Infinity, 1.0]]",
+                                  "[[1e400, 1.0]]"])
+def test_json_numbers_must_be_finite(text):
+    with pytest.raises(DomainError, match="numbers must be finite"):
+        FracSeries.from_json_text(text)
 
 
 def test_series_distance_flags_unmatched_terms():

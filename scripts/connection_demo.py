@@ -34,7 +34,7 @@ def main():
 
     rng = np.random.default_rng(3)
     env = {name: rng.uniform(0.6, 1.4) for name in SPEC.all_names()}
-    print(f"pairing residual at a random jet: {pairing_residual(SPEC, primal, env):.3e}")
+    print(f"pairing residual at a random jet: {pairing_residual(SPEC, primal, dual, env):.3e}")
 
     metric = MetricField.from_matrix(SPEC, ((parse("1 + x1^2"),),))
     conn = MetricalConnection(SPEC, metric, primal)

@@ -2,7 +2,8 @@
 
 Layers, bottom to top:
 
-* :mod:`fracosc.specfun`      -- gamma / generalized binomial / Mittag-Leffler
+* :mod:`fracosc.specfun`      -- gamma / gamma products / generalized binomial / Mittag-Leffler
+* :mod:`fracosc.gammaledger`  -- exact gamma-ratio coefficients (one signed ledger of arguments)
 * :mod:`fracosc.series`       -- exact calculus on fractional-power series
 * :mod:`fracosc.expr`         -- small expression language + fractional partials
 * :mod:`fracosc.numeric`      -- Grunwald-Letnikov / L1 schemes, fractional ODE solver
@@ -12,6 +13,7 @@ Layers, bottom to top:
 * :mod:`fracosc.connection`   -- metrical connection, covariant derivative, metric lift
 * :mod:`fracosc.lagrange`     -- fractional variational calculus and prolongations
 * :mod:`fracosc.cli`          -- command-line front end (`fracosc <subcommand>`)
+* :mod:`fracosc.config`       -- flat ``key = value`` config files with sha256 provenance
 """
 
 __version__ = "0.1.0"

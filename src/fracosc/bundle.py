@@ -534,11 +534,12 @@ def dual_coframe(spec: BundleSpec, M: DualCoefficients, env: dict[str, float]) -
     return D
 
 
-def pairing_residual(spec: BundleSpec, N: PrimalCoefficients, env: dict[str, float]) -> float:
-    """max |<adapted coframe, adapted frame> - identity| at a point, with the
-    coframe built from primal_to_dual(N)."""
+def pairing_residual(spec: BundleSpec, N: PrimalCoefficients, M: DualCoefficients,
+                     env: dict[str, float]) -> float:
+    """max |<adapted coframe, adapted frame> - identity| at a point, for the
+    frame of N and the coframe of M (for example primal_to_dual(N))."""
     F = adapted_frame(spec, N, env)
-    D = dual_coframe(spec, primal_to_dual(N), env)
+    D = dual_coframe(spec, M, env)
     return float(np.max(np.abs(D @ F.T - np.eye(spec.dim))))
 
 

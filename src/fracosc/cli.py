@@ -110,6 +110,11 @@ def _finite(text: str) -> float:
     return value
 
 
+#: the most points a grid may have, checked before allocating: 10^7 points
+#: are 80 MB a float64 column and about 0.4 GB of CSV text
+MAX_GRID_POINTS = 10**7
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -122,8 +127,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ParseError(f"grid values must be finite: {text!r}")
     if h <= 0 or b <= a:
         raise ParseError("grid needs stop > start and step > 0")
-    n = int(np.floor((b - a) / h + 1e-9)) + 1
-    return a + h * np.arange(n)
+    steps = (b - a) / h + 1e-9
+    if not steps < MAX_GRID_POINTS:  # also an infinite count
+        raise ParseError(f"grid has more than {MAX_GRID_POINTS} points: {text!r}")
+    return a + h * np.arange(math.floor(steps) + 1)
 
 
 def _series_from_expr(e) -> FracSeries:
@@ -301,7 +308,7 @@ def cmd_connection(args) -> int:
             "C": [c.tolist() for c in coeff.C],
         },
         "checks": {
-            "pairing_residual": pairing_residual(spec, primal, env),
+            "pairing_residual": pairing_residual(spec, primal, dual, env),
             "metricity_residual": conn.metricity_residual(env),
         },
         "config_sha256": sha,

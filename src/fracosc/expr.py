@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError, EvalError, ParseError
 from .gammaledger import GammaProduct
-from .series import EXP_SNAP
+from .series import reviewed_exponent
 from .specfun import gamma as _gamma_fn
 from .specfun import mittag_leffler as _ml_fn
 
@@ -644,7 +644,7 @@ def _term_pow(t: Term, p: float) -> Term | None:
         for _ in range(abs(k) - 1):
             out = _term_mul(out, base)
         return out
-    if t.coeff.num or t.coeff.den:
+    if t.coeff.ledger:
         return None
     if t.coeff.factor < 0.0:
         return None
@@ -658,9 +658,8 @@ def _term_pow(t: Term, p: float) -> Term | None:
 def _term_invert(t: Term) -> Term | None:
     if t.coeff.factor == 0.0:
         return None
-    inv = GammaProduct(1.0 / t.coeff.factor, t.coeff.den, t.coeff.num)
     return Term(
-        inv,
+        t.coeff.inverse(),
         tuple((n, -p) for n, p in t.powers),
         tuple((f, -p) for f, p in t.others),
     )
@@ -729,10 +728,9 @@ def collect_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
         key = t.collection_key()
         bucket = groups.setdefault(key, [])
         for i, prev in enumerate(bucket):
-            if prev.coeff.same_structure(t.coeff):
+            if prev.coeff.ledger == t.coeff.ledger:
                 bucket[i] = Term(
-                    GammaProduct(prev.coeff.factor + t.coeff.factor,
-                                 prev.coeff.num, prev.coeff.den),
+                    GammaProduct(prev.coeff.factor + t.coeff.factor, t.coeff.ledger),
                     t.powers, t.others)
                 break
         else:
@@ -811,14 +809,9 @@ def term_frac_partial(t: Term, var: str, alpha: float) -> Term | None:
             raise DomainError(
                 f"term has non-monomial dependence on {var!r}: {to_str(f)}")
     p = t.power_of(var)
-    if p == 0.0:
+    new_p = None if p == 0.0 else reviewed_exponent(p, alpha)
+    if new_p is None:
         return None
-    if p < alpha - EXP_SNAP:
-        raise DomainError(
-            f"exponent {p} of {var!r} below derivative order {alpha}: inadmissible")
-    new_p = p - alpha
-    if abs(new_p) < EXP_SNAP:
-        new_p = 0.0
     coeff = t.coeff.times_ratio(1.0 + p, 1.0 + new_p)
     powers = tuple(
         (n, new_p if n == var else q)

@@ -1,12 +1,14 @@
-"""Exact bookkeeping for coefficients of the form  c * prod Gamma(a_i) / prod Gamma(b_j).
+"""Exact bookkeeping for coefficients of the form  c * prod Gamma(a_i)**p_i.
 
 Fractional power-rule coefficients are ratios of gamma values, and identities
 like the derivative semigroup, the delta identity, mixed-partial commutation
 and d∘d = 0 all hinge on *telescoping products* of such ratios. Folding each
 ratio to a float immediately would leave ~1 ulp residue per step; instead the
-gamma arguments are kept symbolically (as float keys) and matching
-numerator/denominator entries cancel *structurally*. A fold to float happens
-only at the very end, so a fully-telescoped product is bitwise exact.
+gamma arguments are kept symbolically (as float keys) with signed integer
+powers, and a numerator meeting a denominator of the same argument cancels
+*structurally*. A fold to float happens only at the very end, through
+:func:`~fracosc.specfun.gamma_product`, so a fully-telescoped product is
+bitwise exact.
 
 The invariant that makes bitwise cancellation actually fire: every gamma
 argument is formed as ``1.0 + exponent`` from the *stored* exponent float, so
@@ -16,90 +18,68 @@ object value that went into the previous step's denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .specfun import gamma
+from .specfun import gamma_product
 
 __all__ = ["GammaProduct"]
 
-
-def _insert(args: tuple[float, ...], x: float) -> tuple[float, ...]:
-    out = list(args)
-    out.append(x)
-    out.sort()
-    return tuple(out)
+Ledger = tuple[tuple[float, int], ...]
 
 
-def _remove_first(args: tuple[float, ...], x: float) -> tuple[float, ...] | None:
-    """Remove one occurrence of x (exact float equality) or return None."""
-    try:
-        i = args.index(x)
-    except ValueError:
-        return None
-    return args[:i] + args[i + 1 :]
+def _merge(ledger: Ledger, entries) -> Ledger:
+    """``ledger`` with the (argument, power) ``entries`` added: powers of equal
+    arguments sum, zero powers drop out, and 1.0 and 2.0 (where Gamma is
+    exactly 1) are never stored."""
+    powers = dict(ledger)
+    for a, p in entries:
+        if a in (1.0, 2.0):
+            continue
+        q = powers.get(a, 0) + p
+        if q:
+            powers[a] = q
+        else:
+            del powers[a]
+    return tuple(sorted(powers.items()))
 
 
 @dataclass(frozen=True)
 class GammaProduct:
-    """Immutable scalar  factor * prod(Gamma(num)) / prod(Gamma(den)).
+    """Immutable scalar  factor * prod(Gamma(a)**p for a, p in ledger).
 
-    ``num``/``den`` are kept sorted so structurally equal products compare
-    equal; arguments at which Gamma is exactly 1 (i.e. 1.0 and 2.0) are never
-    stored. Matching entries across num/den are cancelled eagerly on every
-    multiplication.
+    ``ledger`` is one signed multiset of gamma arguments: (argument, nonzero
+    integer power) pairs sorted by argument, so structurally equal products
+    compare equal. Matching arguments cancel eagerly on every multiplication.
     """
 
     factor: float = 1.0
-    num: tuple[float, ...] = field(default_factory=tuple)
-    den: tuple[float, ...] = field(default_factory=tuple)
+    ledger: Ledger = ()
 
     @staticmethod
     def of(factor: float) -> "GammaProduct":
         return GammaProduct(float(factor))
 
-    def _push_num(self, a: float) -> "GammaProduct":
-        if a in (1.0, 2.0):  # Gamma is exactly 1 there
-            return self
-        reduced = _remove_first(self.den, a)
-        if reduced is not None:
-            return GammaProduct(self.factor, self.num, reduced)
-        return GammaProduct(self.factor, _insert(self.num, a), self.den)
-
-    def _push_den(self, a: float) -> "GammaProduct":
-        if a in (1.0, 2.0):
-            return self
-        reduced = _remove_first(self.num, a)
-        if reduced is not None:
-            return GammaProduct(self.factor, reduced, self.den)
-        return GammaProduct(self.factor, self.num, _insert(self.den, a))
-
     def times_ratio(self, top: float, bottom: float) -> "GammaProduct":
         """Multiply by Gamma(top)/Gamma(bottom)."""
-        return self._push_num(top)._push_den(bottom)
+        return GammaProduct(self.factor, _merge(self.ledger, ((top, 1), (bottom, -1))))
 
     def times(self, other: "GammaProduct") -> "GammaProduct":
-        out = GammaProduct(self.factor * other.factor, self.num, self.den)
-        for a in other.num:
-            out = out._push_num(a)
-        for a in other.den:
-            out = out._push_den(a)
-        return out
+        factor = self.factor * other.factor
+        if not other.ledger:
+            return GammaProduct(factor, self.ledger)
+        return GammaProduct(factor, _merge(self.ledger, other.ledger))
 
     def scaled(self, c: float) -> "GammaProduct":
-        return GammaProduct(self.factor * c, self.num, self.den)
+        return GammaProduct(self.factor * c, self.ledger)
 
-    def same_structure(self, other: "GammaProduct") -> bool:
-        return self.num == other.num and self.den == other.den
+    def inverse(self) -> "GammaProduct":
+        """1 / self: the reciprocal factor and every power negated."""
+        return GammaProduct(1.0 / self.factor, tuple((a, -p) for a, p in self.ledger))
 
     @property
     def is_zero(self) -> bool:
         return self.factor == 0.0
 
     def value(self) -> float:
-        """Fold to a float. Deterministic: entries are kept sorted."""
-        v = self.factor
-        for a in self.num:
-            v *= gamma(a)
-        for a in self.den:
-            v /= gamma(a)
-        return v
+        """Fold to a float (deterministic: the ledger is sorted)."""
+        return gamma_product(self.factor, self.ledger)

@@ -235,7 +235,7 @@ def covector_gap(
     ladder = craig_synge_level(spec, L, spec.k - 1) if spec.k >= 1 else ()
     closed = craig_synge_closed_form(spec, L, fundamental)
     values = compile_exprs([e for pair in zip(ladder, closed) for e in pair])(env)
-    return max(abs(a - b) for a, b in zip(values[::2], values[1::2]))
+    return float(np.max(np.abs(np.subtract(values[::2], values[1::2]))))
 
 
 # ------------------------------------------------------------ spray extraction --
@@ -283,11 +283,10 @@ def spray_ode_residual(
     exact jet of the given curves."""
     f = compile_exprs(solved)
     tops = [jet_var(i, spec.k + 1) for i in range(spec.n)]
-    worst = 0.0
-    for env in jet_lift(curves, spec.alpha, spec.k + 1, np.asarray(ts, dtype=float)).envs():
-        for top, value in zip(tops, f(env)):
-            worst = max(worst, abs(env[top] - value))
-    return worst
+    gaps = [abs(env[top] - value)
+            for env in jet_lift(curves, spec.alpha, spec.k + 1, np.asarray(ts, dtype=float)).envs()
+            for top, value in zip(tops, f(env))]
+    return float(np.max(gaps, initial=0.0))  # np.max keeps a NaN gap
 
 
 # ------------------------------------------------------------ reference problems --

@@ -33,6 +33,7 @@ from .specfun import gamma, gamma_ratio, gen_binomial
 
 __all__ = [
     "FracSeries",
+    "reviewed_exponent",
     "frac_derive",
     "frac_derive_iterated",
     "classical_derive",
@@ -115,10 +116,6 @@ class FracSeries:
                 return c
         return 0.0
 
-    def value_at_origin(self) -> float:
-        """f(0+): the constant term (positive powers vanish)."""
-        return self.coefficient_at(0.0)
-
     def __call__(self, t):
         return self.evaluate(t)
 
@@ -158,6 +155,21 @@ class FracSeries:
             raise DomainError(f"bad series text {text!r}: {exc}") from None
 
 
+def reviewed_exponent(e: float, nu: float) -> float | None:
+    """The exponent of D^nu t^e under the reviewed power rule, snapped to 0.0
+    within EXP_SNAP; None for a constant under nu > 0 (annihilated), and
+    DomainError for any other exponent below nu > 0."""
+    if nu > 0.0:
+        if e == 0.0:
+            return None  # reviewed operator kills constants
+        if e < nu - EXP_SNAP:
+            raise DomainError(
+                f"exponent {e} below derivative order {nu} (and nonzero): "
+                "fractional power rule inadmissible"
+            )
+    return _snap(e - nu)
+
+
 def frac_derive(f: FracSeries, nu: float) -> FracSeries:
     """Reviewed fractional derivative (nu > 0) / integral (nu < 0) of order nu.
 
@@ -168,17 +180,9 @@ def frac_derive(f: FracSeries, nu: float) -> FracSeries:
         return f
     out = []
     for c, e in f.terms:
-        if nu > 0.0:
-            if e == 0.0:
-                continue  # reviewed operator kills constants
-            if e < nu - EXP_SNAP:
-                raise DomainError(
-                    f"exponent {e} below derivative order {nu} (and nonzero): "
-                    "fractional power rule inadmissible"
-                )
-        new_e = _snap(e - nu)
-        coeff = c * gamma_ratio(1.0 + e, 1.0 + new_e)
-        out.append((coeff, new_e))
+        new_e = reviewed_exponent(e, nu)
+        if new_e is not None:
+            out.append((c * gamma_ratio(1.0 + e, 1.0 + new_e), new_e))
     return FracSeries(out)
 
 
@@ -268,7 +272,7 @@ def ml_reconstruct(f: FracSeries, alpha: float, H: int) -> FracSeries:
     out = []
     jet = f
     for h in range(H + 1):
-        c = jet.value_at_origin()
+        c = jet.coefficient_at(0.0)  # (D^(alpha h) f)(0+): positive powers vanish
         if c != 0.0:
             out.append((c / gamma(1.0 + alpha * h), alpha * h))
         jet = frac_derive(jet, alpha)

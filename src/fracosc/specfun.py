@@ -19,11 +19,10 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["gamma", "gamma_ratio", "gen_binomial", "MLParams", "mittag_leffler"]
+__all__ = ["gamma", "gamma_product", "gamma_ratio", "gen_binomial", "mittag_leffler"]
 
 
 def gamma(x: float) -> float:
@@ -40,21 +39,35 @@ def gamma(x: float) -> float:
         raise DomainError(f"gamma overflow at x={x!r}") from None
 
 
-def gamma_ratio(top: float, bottom: float) -> float:
-    """Gamma(top)/Gamma(bottom) with the pole policy of :func:`gamma`.
-
-    For large positive arguments the ratio is formed in log space so that a
-    huge denominator underflows cleanly to 0.0 instead of tripping the
-    intermediate overflow of Gamma alone (arguments beyond ~171).
-    """
-    if (top > 170.0 or bottom > 170.0) and top > 0.0 and bottom > 0.0:
+def gamma_product(factor: float, ledger: tuple[tuple[float, int], ...]) -> float:
+    """factor * prod Gamma(a)**p over (argument, integer power) pairs sorted by
+    argument, with the pole policy of :func:`gamma`: numerators first, then
+    denominators, each in ascending argument order. If the largest argument is
+    above 170 and the smallest positive, the product is formed in log space, so
+    a huge denominator underflows to 0.0 instead of tripping the overflow of
+    Gamma alone (beyond ~171); an overflowing logarithm raises DomainError."""
+    if ledger and ledger[-1][0] > 170.0 and ledger[0][0] > 0.0:
+        log = 0.0
+        for a, p in ledger:
+            log += p * math.lgamma(a)
         try:
-            return math.exp(math.lgamma(top) - math.lgamma(bottom))
+            return factor * math.exp(log)
         except OverflowError:
-            raise DomainError(
-                f"gamma ratio overflow: Gamma({top})/Gamma({bottom})"
-            ) from None
-    return gamma(top) / gamma(bottom)
+            raise DomainError(f"gamma product overflow: {factor!r} * {ledger!r}") from None
+    v = factor
+    for a, p in ledger:
+        for _ in range(p):
+            v *= gamma(a)
+    for a, p in ledger:
+        for _ in range(-p):
+            v /= gamma(a)
+    return v
+
+
+def gamma_ratio(top: float, bottom: float) -> float:
+    """Gamma(top)/Gamma(bottom): the two-entry case of :func:`gamma_product`."""
+    ledger = ((top, 1), (bottom, -1)) if top <= bottom else ((bottom, -1), (top, 1))
+    return gamma_product(1.0, ledger)
 
 
 def gen_binomial(alpha: float, k: int) -> float:
@@ -72,43 +85,36 @@ def gen_binomial(alpha: float, k: int) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class MLParams:
-    """Tuning knobs for the Mittag-Leffler series evaluation.
-
-    max_terms: hard cap on summed terms before giving up.
-    tol:       relative tail tolerance; summation stops once the current term
-               is below ``tol * max(1, |partial sum|)`` *and* terms have
-               entered their decreasing regime.
-    """
-
-    max_terms: int = 600
-    tol: float = 1e-15
+#: hard cap on summed Mittag-Leffler terms before giving up
+ML_MAX_TERMS = 600
+#: relative tail tolerance: summation stops once the current term is below
+#: ``ML_TOL * max(1, |partial sum|)`` *and* terms have entered their
+#: decreasing regime
+ML_TOL = 1e-15
 
 
-def mittag_leffler(alpha: float, z: float, params: MLParams | None = None) -> float:
+def mittag_leffler(alpha: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_alpha(z) by direct summation.
 
     Entire in z for alpha > 0; the series is summed until the term magnitude
     falls below the relative tolerance after the terms have started to
     decrease (for |z| > 1 the early terms grow before factorial decay wins).
-    Raises AccuracyError if ``params.max_terms`` terms were not enough --
+    Raises AccuracyError if ``ML_MAX_TERMS`` terms were not enough --
     callers must never receive a silently unconverged value.
     """
     if alpha <= 0:
         raise DomainError(f"mittag_leffler requires alpha > 0, got {alpha}")
-    p = params or MLParams()
     total = 0.0
     prev = math.inf
     zm = 1.0  # z^m
-    for m in range(p.max_terms):
+    for m in range(ML_MAX_TERMS):
         term = zm / gamma(1.0 + alpha * m)
         total += term
-        if abs(term) <= p.tol * max(1.0, abs(total)) and abs(term) <= prev:
+        if abs(term) <= ML_TOL * max(1.0, abs(total)) and abs(term) <= prev:
             return total
         prev = abs(term)
         zm *= z
     raise AccuracyError(
         f"mittag_leffler(alpha={alpha}, z={z}) did not converge within "
-        f"{p.max_terms} terms (last |term|={abs(term):.3e})"
+        f"{ML_MAX_TERMS} terms (last |term|={abs(term):.3e})"
     )

@@ -12,7 +12,12 @@ evaluator must reproduce exactly (``==``, the same printed form including
 signed zeros, the same float bits, the same first error). The natural-frame
 matrices at the end fill one entry at a time from the slot index a*n + i; the
 library assigns whole n x n blocks and must match them byte for byte.
+``GammaProduct`` keeps its gamma arguments as two sorted tuples, ``num``
+and ``den``; the library's one signed ledger must hold the same multiset and
+fold to the same bits.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -466,3 +471,63 @@ def dual_coframe(spec, M, env):
                 for m in range(spec.n):
                     D[a * spec.n + j, (a - b) * spec.n + m] = Mb[j][m]
     return D
+
+
+def _insert(args, x):
+    out = list(args)
+    out.append(x)
+    out.sort()
+    return tuple(out)
+
+
+def _remove_first(args, x):
+    try:
+        i = args.index(x)
+    except ValueError:
+        return None
+    return args[:i] + args[i + 1:]
+
+
+@dataclass(frozen=True)
+class GammaProduct:
+    factor: float = 1.0
+    num: tuple = field(default_factory=tuple)
+    den: tuple = field(default_factory=tuple)
+
+    def _push_num(self, a):
+        if a in (1.0, 2.0):
+            return self
+        reduced = _remove_first(self.den, a)
+        if reduced is not None:
+            return GammaProduct(self.factor, self.num, reduced)
+        return GammaProduct(self.factor, _insert(self.num, a), self.den)
+
+    def _push_den(self, a):
+        if a in (1.0, 2.0):
+            return self
+        reduced = _remove_first(self.num, a)
+        if reduced is not None:
+            return GammaProduct(self.factor, reduced, self.den)
+        return GammaProduct(self.factor, self.num, _insert(self.den, a))
+
+    def times_ratio(self, top, bottom):
+        return self._push_num(top)._push_den(bottom)
+
+    def times(self, other):
+        out = GammaProduct(self.factor * other.factor, self.num, self.den)
+        for a in other.num:
+            out = out._push_num(a)
+        for a in other.den:
+            out = out._push_den(a)
+        return out
+
+    def scaled(self, c):
+        return GammaProduct(self.factor * c, self.num, self.den)
+
+    def value(self):
+        v = self.factor
+        for a in self.num:
+            v *= gamma(a)
+        for a in self.den:
+            v /= gamma(a)
+        return v

@@ -324,7 +324,8 @@ def test_c12_dual_primal_round_trip_and_pairing():
             for _ in range(3)
         )
         N = PrimalCoefficients(spec, mats)
-        back = dual_to_primal(primal_to_dual(N))
+        M = primal_to_dual(N)
+        back = dual_to_primal(M)
         for _ in range(5):
             env = {name: rng.uniform(0.5, 1.8) for name in spec.all_names()}
             for b in range(1, spec.k + 1):
@@ -334,7 +335,7 @@ def test_c12_dual_primal_round_trip_and_pairing():
                             evaluate(back.order(b)[m][j], env)
                             - evaluate(N.order(b)[m][j], env)
                         ))
-            worst_pair = max(worst_pair, pairing_residual(spec, N, env))
+            worst_pair = max(worst_pair, pairing_residual(spec, N, M, env))
     ok = worst_rt <= 1e-10 and worst_pair <= 1e-10
     assert report(
         "C12", ok,

@@ -313,10 +313,11 @@ def test_adapted_frame_and_coframe_blocks():
 def test_pairing_residual_random_points():
     spec = BundleSpec(2, 3, 0.4)
     N = _sample_primal(spec)
+    M = primal_to_dual(N)
     rng = np.random.default_rng(5)
     for _ in range(10):
         env = _jet(rng, 2, 3).env()
-        assert pairing_residual(spec, N, env) < 1e-10
+        assert pairing_residual(spec, N, M, env) < 1e-10
 
 
 def test_spray_to_dual_first_order_is_fibre_gradient():

@@ -296,6 +296,18 @@ def test_grid_values_must_be_finite(grid, capsys):
     assert "grid values must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0:1e308:1e-308", "0:1:1e-300", "0:1e9:1", "-1e308:1e308:1"])
+def test_grids_with_too_many_points_are_config_errors(grid, tmp_path, capsys):
+    # the count is checked before the grid is allocated
+    assert main(["deriv", "--expr", "t", "--alpha", "0.5", f"--grid={grid}"]) == 1
+    p = tmp_path / "curve.cfg"
+    p.write_text("el.mode = curve\nel.alpha = 0.5\nel.k = 1\nel.lagrangian = y1_1^2\n"
+                 f"el.grid = {grid}\ncurve.x1 = [[1.0, 1.0]]\n")
+    assert main(["el", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("grid has more than 10000000 points") == 2
+
+
 def _curve_config(tmp_path, lagrangian, curve):
     p = tmp_path / "curve.cfg"
     p.write_text("el.mode = curve\nel.alpha = 0.5\nel.k = 1\n"

@@ -13,6 +13,7 @@ from fracosc.expr import (
     is_monomial_in, normal_form, normalize_terms, parse, simplify,
     term_frac_partial, to_str,
 )
+from fracosc.series import FracSeries, frac_derive
 
 # ------------------------------------------------------------------ parsing
 
@@ -175,6 +176,14 @@ def test_exponent_equal_to_order_leaves_constant():
 def test_inadmissible_exponent_raises():
     with pytest.raises(DomainError):
         frac_partial(parse("x1^0.2"), "x1", 0.5)
+
+
+def test_large_exponent_matches_the_series_power_rule():
+    # Gamma(201) overflows on its own; the ledger folds the ratio in log space
+    d = frac_partial(parse("x1^200"), "x1", 0.5)
+    (c, e), = frac_derive(FracSeries.monomial(1.0, 200.0), 0.5).terms
+    assert to_str(d) == "14.150977211993368*x1^199.5"
+    assert d == Mul(Num(c), Pow(Var("x1"), e))
 
 
 def test_var_inside_call_is_not_monomial():

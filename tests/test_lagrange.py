@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference_builders as ref
+from fracosc import lagrange
 from fracosc.bundle import BundleSpec, jet_lift, spray_to_dual
 from fracosc.errors import DomainError
 from fracosc.expr import Add, Mul, Num, Pow, Var, evaluate, normal_form, parse, to_str
@@ -202,6 +203,20 @@ def test_spray_ode_residual_equals_the_pointwise_loop():
         worst = max(worst, abs(jp.y[SPEC11.k][0] - ref.evaluate(solved[0], jp.env())))
     assert worst > 1e-3
     assert spray_ode_residual(SPEC11, solved, [curve], ts) == worst
+
+
+def test_spray_ode_residual_keeps_a_nan_gap():
+    # 1e300*1e300 overflows, and inf*x1 - inf*x1 is NaN at every sample
+    solved = (parse("1e300*1e300*x1 - 1e300*1e300*x1"),)
+    curve = FracSeries(((0.7, 0.0), (1.2, ALPHA)))
+    assert np.isnan(spray_ode_residual(SPEC11, solved, [curve], np.linspace(0.1, 2.0, 5)))
+
+
+@pytest.mark.parametrize("values", [(float("nan"), 0.0, 1.0, 0.5), (1.0, 0.5, float("nan"), 0.0)])
+def test_covector_gap_keeps_a_nan_wherever_it_is(values, monkeypatch):
+    monkeypatch.setattr(lagrange, "compile_exprs", lambda exprs: lambda env: values)
+    fund = fundamental_tensor(SPEC11, L_QUAD, "fractional")
+    assert np.isnan(covector_gap(SPEC11, L_QUAD, fund, {"x1": 1.4, "y1_1": 0.9, "y1_2": 1.3}))
 
 
 def test_closed_loop_solver_corroboration():

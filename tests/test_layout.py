@@ -1,6 +1,7 @@
 """Module boundaries of the package: no module reaches into another's
-private names, only ``expr`` evaluates an Expr inside a loop, and only
-``geometry.jet_var`` spells a jet-coordinate name."""
+private names, only ``expr`` evaluates an Expr inside a loop, only
+``geometry.jet_var`` spells a jet-coordinate name, and only ``specfun``
+calls the gamma functions of ``math``."""
 
 import ast
 import re
@@ -84,4 +85,20 @@ def test_only_jet_var_spells_a_jet_coordinate_name():
                     isinstance(node, ast.Constant) and isinstance(node.value, str)
                     and _NAME.fullmatch(node.value)):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_specfun_calls_math_gamma():
+    # one pole and overflow policy: every other module goes through specfun
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "specfun.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("gamma", "lgamma") and (
+                    isinstance(node.value, ast.Name) and node.value.id == "math"):
+                offenders.append(f"{path.name}:{node.lineno} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math" and any(
+                    a.name in ("gamma", "lgamma") for a in node.names):
+                offenders.append(f"{path.name}:{node.lineno} from math import")
     assert offenders == []

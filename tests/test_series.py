@@ -15,6 +15,7 @@ from fracosc.series import (
     leibniz_series,
     ml_reconstruct,
     ml_series,
+    reviewed_exponent,
     semigroup_residual,
     series_distance,
 )
@@ -42,6 +43,16 @@ def test_constants_are_annihilated():
 def test_inadmissible_exponent_raises():
     with pytest.raises(DomainError):
         frac_derive(FracSeries.monomial(1.0, 0.3), 0.5)
+
+
+def test_reviewed_exponent_rule():
+    assert reviewed_exponent(0.0, 0.5) is None  # constants are annihilated
+    assert reviewed_exponent(0.0, -0.5) == 0.5  # but integrated
+    assert reviewed_exponent(1.5, 0.5) == 1.0
+    assert reviewed_exponent(0.5 - 1e-13, 0.5) == 0.0  # snapped
+    for e in (0.3, -0.5):
+        with pytest.raises(DomainError):
+            reviewed_exponent(e, 0.5)
 
 
 def test_order_zero_is_identity():

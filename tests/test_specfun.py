@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fracosc.errors import AccuracyError, DomainError
-from fracosc.specfun import MLParams, gamma, gamma_ratio, gen_binomial, mittag_leffler
+from fracosc.specfun import gamma, gamma_product, gamma_ratio, gen_binomial, mittag_leffler
 
 # Reference values computed with mpmath at 30 significant digits
 # (mp.gamma / direct 300-term series summation), frozen here.
@@ -41,6 +41,26 @@ def test_gamma_ratio_large_arguments_underflow_cleanly():
     # Gamma(1.5)/Gamma(200) is ~1e-371: representable only as 0.0, not an error
     assert gamma_ratio(1.5, 200.0) == 0.0
     assert gamma_ratio(200.0, 198.0) == pytest.approx(199.0 * 198.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("top,bottom", [(3.5, 1.5), (0.5, 4.25), (201.0, 200.5), (1.5, 200.0)])
+def test_gamma_ratio_is_the_two_entry_product(top, bottom):
+    ledger = tuple(sorted(((top, 1), (bottom, -1))))
+    assert gamma_ratio(top, bottom).hex() == gamma_product(1.0, ledger).hex()
+
+
+def test_gamma_product_folds_numerators_then_denominators():
+    ledger = ((0.5, -1), (1.5, 2), (3.25, -2))
+    g = math.gamma
+    assert gamma_product(1.5, ledger) == 1.5 * g(1.5) * g(1.5) / g(0.5) / g(3.25) / g(3.25)
+    assert gamma_product(1.5, ()) == 1.5
+
+
+def test_gamma_product_log_space_overflow_is_a_domain_error():
+    with pytest.raises(DomainError):
+        gamma_product(1.0, ((1.5, -1), (400.0, 1)))
+    with pytest.raises(DomainError):  # a pole keeps the direct path
+        gamma_product(1.0, ((-1.0, 1), (400.0, 1)))
 
 
 def test_gen_binomial_small_cases():
@@ -89,8 +109,10 @@ def test_mittag_leffler_alpha_two_is_cosh_sqrt():
 
 
 def test_mittag_leffler_unconverged_raises():
+    # near alpha = 0 the terms z^m / Gamma(1 + alpha m) decay too slowly for
+    # the 600-term cap
     with pytest.raises(AccuracyError):
-        mittag_leffler(0.5, 30.0, MLParams(max_terms=5))
+        mittag_leffler(0.001, 0.999)
 
 
 def test_mittag_leffler_bad_alpha():

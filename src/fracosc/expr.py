@@ -482,7 +482,8 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 def simplify(e: Expr) -> Expr:
     """Cheap structural cleanup: constant folding and 0/1 identities.
-    gamma/ml calls are *not* folded (the term layer keeps them exact).
+    gamma/ml calls are *not* folded (the term layer keeps them exact). A
+    constant fold that overflows raises DomainError.
 
     Every output is a fixed point of the rules, so one bottom-up pass of
     :func:`simplify_node` suffices; shared subtrees are visited once per call."""
@@ -511,6 +512,14 @@ def _simplify(e: Expr, memo: dict) -> Expr:
         raise TypeError(f"not an Expr: {e!r}")
     memo[id(e)] = (e, out)
     return out
+
+
+def _folded(v: float) -> Num:
+    """A folded constant; an overflow to inf raises DomainError, so that no
+    infinite Num is built."""
+    if not math.isfinite(v):
+        raise DomainError("constant fold overflows")
+    return Num(v)
 
 
 def simplify_node(e: Expr) -> Expr:
@@ -544,13 +553,13 @@ def simplify_node(e: Expr) -> Expr:
         if isinstance(b, Num) and b.value == 0.0:
             return a
         if isinstance(a, Num) and isinstance(b, Num):
-            return Num(a.value + b.value)
+            return _folded(a.value + b.value)
         return e
     if isinstance(e, Sub):
         if isinstance(b, Num) and b.value == 0.0:
             return a
         if isinstance(a, Num) and isinstance(b, Num):
-            return Num(a.value - b.value)
+            return _folded(a.value - b.value)
         if isinstance(a, Num) and a.value == 0.0:
             return simplify_node(Neg(b))
         return e
@@ -566,7 +575,7 @@ def simplify_node(e: Expr) -> Expr:
             if b.value == 1.0:
                 return a
         if isinstance(a, Num) and isinstance(b, Num):
-            return Num(a.value * b.value)
+            return _folded(a.value * b.value)
         return e
     if isinstance(e, Div):
         if isinstance(b, Num) and b.value == 1.0:
@@ -576,7 +585,7 @@ def simplify_node(e: Expr) -> Expr:
         ):
             return Num(0.0)
         if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
-            return Num(a.value / b.value)
+            return _folded(a.value / b.value)
         return e
     raise TypeError(f"not an Expr: {e!r}")
 

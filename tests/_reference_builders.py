@@ -14,22 +14,25 @@ matrices at the end fill one entry at a time from the slot index a*n + i; the
 library assigns whole n x n blocks and must match them byte for byte.
 ``GammaProduct`` keeps its gamma arguments as two sorted tuples, ``num``
 and ``den``; the library's one signed ledger must hold the same multiset and
-fold to the same bits.
+fold to the same bits. ``mittag_leffler_series`` calls ``gamma`` once per
+term; the library's series reads a cached table of the same values and must
+return the same bits wherever this loop returns a finite value.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from fracosc.bundle import DualCoefficients, PrimalCoefficients, rung_weight
-from fracosc.errors import DomainError, EvalError
+from fracosc.errors import AccuracyError, DomainError, EvalError
 from fracosc.expr import (
     Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, _pow_value, frac_partial, free_vars,
     normal_form,
 )
 from fracosc.expr import classical_partial as lib_classical_partial
 from fracosc.lagrange import Prolongation, jet_var
-from fracosc.specfun import gamma, mittag_leffler
+from fracosc.specfun import ML_MAX_TERMS, ML_TOL, gamma, mittag_leffler
 
 
 def evaluate(e, env):
@@ -66,6 +69,12 @@ def evaluate(e, env):
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def _folded(v):
+    if not math.isfinite(v):
+        raise DomainError("constant fold overflows")
+    return Num(v)
+
+
 def simplify(e):
     if isinstance(e, (Num, Var)):
         return e
@@ -97,13 +106,13 @@ def simplify(e):
         if isinstance(b, Num) and b.value == 0.0:
             return a
         if isinstance(a, Num) and isinstance(b, Num):
-            return Num(a.value + b.value)
+            return _folded(a.value + b.value)
         return Add(a, b)
     if isinstance(e, Sub):
         if isinstance(b, Num) and b.value == 0.0:
             return a
         if isinstance(a, Num) and isinstance(b, Num):
-            return Num(a.value - b.value)
+            return _folded(a.value - b.value)
         if isinstance(a, Num) and a.value == 0.0:
             return simplify(Neg(b))
         return Sub(a, b)
@@ -119,7 +128,7 @@ def simplify(e):
             if b.value == 1.0:
                 return a
         if isinstance(a, Num) and isinstance(b, Num):
-            return Num(a.value * b.value)
+            return _folded(a.value * b.value)
         return Mul(a, b)
     if isinstance(e, Div):
         if isinstance(b, Num) and b.value == 1.0:
@@ -129,7 +138,7 @@ def simplify(e):
         ):
             return Num(0.0)
         if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
-            return Num(a.value / b.value)
+            return _folded(a.value / b.value)
         return Div(a, b)
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -531,3 +540,20 @@ class GammaProduct:
         for a in self.den:
             v /= gamma(a)
         return v
+
+
+def mittag_leffler_series(alpha, z):
+    total = 0.0
+    prev = math.inf
+    zm = 1.0  # z^m
+    for m in range(ML_MAX_TERMS):
+        term = zm / gamma(1.0 + alpha * m)
+        total += term
+        if abs(term) <= ML_TOL * max(1.0, abs(total)) and abs(term) <= prev:
+            return total
+        prev = abs(term)
+        zm *= z
+    raise AccuracyError(
+        f"mittag_leffler(alpha={alpha}, z={z}) did not converge within "
+        f"{ML_MAX_TERMS} terms (last |term|={abs(term):.3e})"
+    )

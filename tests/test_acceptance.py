@@ -480,3 +480,20 @@ def test_c17_cli_deterministic(tmp_path):
     )
     ok = identical and codes_ok
     assert report("C17", ok, f"byte-identical outputs: {identical}, exit codes 0/3: {codes_ok}")
+
+
+def test_c18_relaxation_follows_mittag_leffler():
+    """D^a x = -lam x, x(0) = x0 on [0, 10] for a = 0.3, 0.5, 0.8: the Adams
+    solver at h = 0.005 stays within 2 h^(1+a) x0 of x0 E_a(-lam t^a) on
+    t >= 1, with lam = 1.5 taking E_a down to z = -1.5 * 10^a."""
+    lam, x0, h = 1.5, 1.0, 0.005
+    ratios = []
+    for alpha in (0.3, 0.5, 0.8):
+        res = solve_fode(lambda t, x: -lam * x, [x0], alpha, 10.0, h)
+        late = res.t >= 1.0
+        exact = np.array([x0 * mittag_leffler(alpha, -lam * t**alpha) for t in res.t[late]])
+        err = float(np.max(np.abs(res.x[late, 0] - exact)))
+        ratios.append(err / (2.0 * h ** (1.0 + alpha) * x0))
+    ok = max(ratios) <= 1.0
+    assert report("C18", ok, "relaxation error / bound 2h^(1+a) at a = 0.3, 0.5, 0.8: "
+                  + ", ".join(f"{r:.2e}" for r in ratios) + " (tol 1)")

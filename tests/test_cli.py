@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,16 @@ def test_inadmissible_exponent_is_domain_error(capsys):
     rc = main(["deriv", "--expr", "t^0.2", "--alpha", "0.5", "--grid", "0:1:0.1"])
     assert rc == 2
     assert "domain error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["gamma(170)*gamma(170)*t", "1e200*1e200*t"])
+def test_overflowing_coefficient_is_one_line_domain_error(expr, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["deriv", "--expr", expr, "--alpha", "0.5", "--grid", "0:1:0.5"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("domain error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("expr,col", [("t^1e400", 3), ("1e400*t^2", 1)])
@@ -499,10 +510,12 @@ def test_cli_import_does_not_load_numpy_fft():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, fracosc.cli; print('numpy.fft' in sys.modules)"
+    # nor mpmath or scipy: the special functions use math and cmath only
+    code = ("import sys, fracosc.cli; "
+            "print([m for m in ('numpy.fft', 'mpmath', 'scipy') if m in sys.modules])")
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[]"
 
 
 def test_deriv_l1_at_alpha_one_prints_the_backward_difference(capsys):

@@ -2,11 +2,15 @@
 
 import math
 
+import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fracosc import specfun
 from fracosc.errors import AccuracyError, DomainError
 from fracosc.specfun import gamma, gamma_product, gamma_ratio, gen_binomial, mittag_leffler
+
+from _reference_builders import mittag_leffler_series
 
 # Reference values computed with mpmath at 30 significant digits
 # (mp.gamma / direct 300-term series summation), frozen here.
@@ -120,3 +124,136 @@ def test_mittag_leffler_bad_alpha():
         mittag_leffler(0.0, 1.0)
     with pytest.raises(DomainError):
         mittag_leffler(-0.5, 1.0)
+
+
+def test_gamma_product_direct_overflow_is_a_domain_error():
+    # every argument at most 170 keeps the direct fold, whose product overflows
+    with pytest.raises(DomainError):
+        gamma_product(1.0, ((170.0, 2),))
+    with pytest.raises(DomainError):
+        gamma_product(1e200 * 1e200, ())
+
+
+# ------------------------------------------------- Mittag-Leffler by region --
+
+
+def ml_oracle(alpha: float, z: float) -> float:
+    """E_alpha(z) to at least 30 digits with mpmath, rounded to a float, or
+    ``math.inf`` when |E_alpha(z)| is beyond the double range.
+
+    Closed forms where they exist (alpha = 1/2, 1, 2); elsewhere the series
+    with guard digits for its cancellation while z^(1/alpha) <= 80, the
+    asymptotic expansion on the positive axis beyond, and on the negative
+    axis (0 < alpha < 1) the integral representation
+    E_a(-x) = sin(a pi)/(a pi) int_0^inf exp(-w^(1/a)) x / (w^2 + 2 w x cos(a pi) + x^2) dw.
+    """
+    with mp.workdps(30):
+        a, x = mp.mpf(alpha), mp.mpf(z)
+        s = abs(x) ** (1 / a)
+        if alpha == 0.5:
+            val = mp.exp(x * x) * mp.erfc(-x)
+        elif alpha == 1:
+            val = mp.exp(x)
+        elif alpha == 2:
+            val = mp.cosh(mp.sqrt(x)) if z >= 0 else mp.cos(mp.sqrt(-x))
+        elif s <= 80:
+            with mp.workdps(40 + int(s / 2)):
+                val, m, term = mp.mpf(0), 0, mp.mpf(1)
+                while a * m <= s + 1 or abs(term) > mp.mpf(10) ** -(40 + int(s / 2)):
+                    term = x**m * mp.rgamma(1 + a * m)
+                    val += term
+                    m += 1
+        elif z > 0:
+            val = mp.exp(s) / a - sum(x ** -j * mp.rgamma(1 - a * j) for j in range(1, 12))
+        else:
+            c, sn, y = mp.cos(a * mp.pi), mp.sin(a * mp.pi), -x
+            cuts = [0, 0.25, 0.5, 1, 2, 4] + ([-c * y] if c < 0 else [])
+            val = sn / (a * mp.pi) * mp.quad(
+                lambda w: mp.exp(-(w ** (1 / a))) * y / (w * w + 2 * w * y * c + y * y),
+                sorted(set(mp.mpf(p) for p in cuts)) + [mp.inf])
+        return float(val) if abs(val) < mp.mpf("1.7976931348623157e308") else math.inf
+
+
+def ml_close(got: float, want: float) -> bool:
+    """1e-12 relative, with a 1e-14 absolute floor for values near zero."""
+    return abs(got - want) <= max(1e-14, 1e-12 * abs(want))
+
+
+# the defects of the plain series: a value lost to cancellation (E_0.3(-3) was
+# -31.4, E_0.8(-20) was -1448), a silent 4e-5 relative error, a 'gamma
+# overflow' where the value is about 0.05, and inf for a value beyond range
+ML_PROBES = [(0.3, -3.0), (0.5, -5.0), (0.5, -10.0), (0.8, -20.0), (0.5, 30.0)]
+
+
+@pytest.mark.parametrize("alpha,z", ML_PROBES)
+def test_mittag_leffler_probes_match_mpmath(alpha, z):
+    want = ml_oracle(alpha, z)
+    if want == math.inf:
+        with pytest.raises(DomainError):
+            mittag_leffler(alpha, z)
+    else:
+        assert ml_close(mittag_leffler(alpha, z), want)
+
+
+@pytest.mark.parametrize("alpha,z", [
+    (0.5, -40.0), (0.5, -7.5), (0.5, -2.5), (0.5, 0.75), (0.5, 4.0), (0.5, 25.0),
+    (1.0, -300.0), (1.0, -30.0), (1.0, 150.0),
+    (2.0, -3.0), (2.0, 900.0), (2.0, 1.0e4),
+])
+def test_mittag_leffler_closed_forms(alpha, z):
+    # E_1/2(z) = exp(z^2) erfc(-z), E_1 = exp, E_2(z) = cosh(sqrt(z))
+    assert ml_close(mittag_leffler(alpha, z), ml_oracle(alpha, z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.01, max_value=1.0), st.floats(min_value=-60.0, max_value=0.0),
+       st.floats(min_value=0.0, max_value=20.0))
+def test_mittag_leffler_negative_axis_is_completely_monotone(alpha, z, dz):
+    # Pollard (1948): for 0 < alpha <= 1, E_alpha(-x) is completely monotone,
+    # so it lies in (0, 1] and does not increase as z decreases
+    try:
+        hi, lo = mittag_leffler(alpha, z), mittag_leffler(alpha, z - dz)
+    except AccuracyError:
+        return
+    assert 0.0 < lo <= hi + 1e-14
+    assert hi <= 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(min_value=0.1, max_value=1.0), st.floats(min_value=-50.0, max_value=50.0))
+def test_mittag_leffler_matches_mpmath_or_raises(alpha, z):
+    want = ml_oracle(alpha, z)
+    try:
+        got = mittag_leffler(alpha, z)
+    except DomainError:
+        assert want > 1e307
+        return
+    except AccuracyError:
+        return
+    assert math.isfinite(got)
+    assert ml_close(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.05, max_value=3.0), st.floats(min_value=-30.0, max_value=30.0))
+def test_mittag_leffler_series_is_bitwise_the_reference_loop(alpha, z):
+    try:
+        want = mittag_leffler_series(alpha, z)
+    except (AccuracyError, DomainError) as exc:
+        with pytest.raises(type(exc)):
+            specfun._ml_series(alpha, z)
+        return
+    if not math.isfinite(want):
+        with pytest.raises(AccuracyError):
+            specfun._ml_series(alpha, z)
+        return
+    assert specfun._ml_series(alpha, z).hex() == want.hex()
+    # the public function takes the series on the positive axis below
+    # z^(1/alpha) = 40, and everywhere below |z|^(1/alpha) = 2
+    if (z >= 0 and z ** (1 / alpha) <= 40) or abs(z) ** (1 / alpha) <= 2:
+        assert mittag_leffler(alpha, z).hex() == want.hex()
+
+
+def test_mittag_leffler_alpha_above_one_refuses_the_cancelling_series():
+    with pytest.raises(AccuracyError, match="alpha > 1"):
+        mittag_leffler(1.5, -10.0)

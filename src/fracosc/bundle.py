@@ -82,6 +82,7 @@ from .expr import (
     multiply_terms,
     normal_form,
     normalize_terms,
+    scale_terms,
     simplify,
     simplify_node,
     terms_to_expr,
@@ -322,19 +323,19 @@ def _spray_terms(spec: BundleSpec, G_terms, f: Expr, f_terms) -> list[Term]:
     and f by its Expr and its collected terms."""
     alpha, n, k = spec.alpha, spec.n, spec.k
     out = []
-    w1 = expand_terms(Num(rung_weight(alpha, 1)))
+    w1 = rung_weight(alpha, 1)
     for h in range(n):
         d = fold_terms(frac_partial_terms(f_terms, jet_var(h, 0), alpha))
-        out += multiply_terms(multiply_terms(w1, expand_terms(Var(jet_var(h, 1)))), d)
+        out += multiply_terms(scale_terms(w1, expand_terms(Var(jet_var(h, 1)))), d)
     for b in range(2, k + 1):
-        w = expand_terms(Num(rung_weight(alpha, b)))
+        w = rung_weight(alpha, b)
         for h in range(n):
             d = expand_terms(classical_partial(f, jet_var(h, b - 1)))
-            out += multiply_terms(multiply_terms(w, expand_terms(Var(jet_var(h, b)))), d)
-    wk = expand_terms(Num(-rung_weight(alpha, k)))
+            out += multiply_terms(scale_terms(w, expand_terms(Var(jet_var(h, b)))), d)
+    wk = -rung_weight(alpha, k)
     for h in range(n):
         d = expand_terms(classical_partial(f, jet_var(h, k)))
-        out += multiply_terms(multiply_terms(wk, G_terms[h]), d)
+        out += multiply_terms(scale_terms(wk, G_terms[h]), d)
     return out
 
 
@@ -386,21 +387,21 @@ def _prolongation(cm: ChartMap, spec: BundleSpec) -> _Prolongation:
 
 
 def _prolong(cm: ChartMap, spec: BundleSpec) -> tuple[tuple[Expr, ...], ...]:
-    alpha = spec.alpha
+    alpha, n = spec.alpha, spec.n
     levels: list[tuple[Expr, ...]] = [tuple(cm.components)]
     for a in range(1, spec.k + 1):
-        prev = levels[a - 1]
         w_a = rung_weight(alpha, a)
+        # column (b-1) n + j differentiates along y^{j(b-1)} and pairs with y^{j(b)}
+        J = weighted_jacobian_exprs(levels[-1], spec.all_names(a - 1), alpha)
         comps = []
-        for i in range(spec.n):
+        for i in range(n):
             acc: Expr = Num(0.0)
             for b in range(1, a + 1):
                 w_b = rung_weight(alpha, b)
-                source_names = spec.level_names(b - 1)
-                Jrow = weighted_jacobian_exprs((prev[i],), source_names, alpha)[0]
-                for j in range(spec.n):
-                    y_b = Var(spec.y_names(b)[j])
-                    term = simplify_node(Mul(Num(w_b / w_a), simplify_node(Mul(Jrow[j], y_b))))
+                for j in range(n):
+                    y_b = Var(jet_var(j, b))
+                    term = simplify_node(Mul(Num(w_b / w_a),
+                                             simplify_node(Mul(J[i][(b - 1) * n + j], y_b))))
                     acc = simplify_node(Add(acc, term))
             comps.append(acc)
         levels.append(tuple(comps))
@@ -482,7 +483,6 @@ def _triangular(given, n: int, sign: float, built_left: bool) -> tuple:
     for the given levels Y, where (A, B) = (X, Y) when ``built_left`` and
     (Y, X) otherwise."""
     given = [[[expand_terms(e) for e in row] for row in mat] for mat in given]
-    scale = expand_terms(Num(sign))
     exprs: list = []
     built: list = []
     for d in range(1, len(given) + 1):
@@ -492,7 +492,7 @@ def _triangular(given, n: int, sign: float, built_left: bool) -> tuple:
             prod = _mat_mul(a[d - f - 1], b[f - 1], n)
             for i in range(n):
                 for j in range(n):
-                    acc[i][j] += multiply_terms(scale, prod[i][j])
+                    acc[i][j] += scale_terms(sign, prod[i][j])
         mat, terms = _fold_matrix([[collect_terms(t) for t in row] for row in acc])
         exprs.append(mat)
         built.append(terms)
@@ -558,13 +558,13 @@ def spray_to_dual(spec: BundleSpec, G: tuple[Expr, ...]) -> DualCoefficients:
     mats, prev = [M1], M1_terms
     G_terms = [expand_terms(g) for g in G] if spec.k > 1 else []  # S runs for k > 1 only
     for a in range(1, spec.k):
-        scale = expand_terms(Num(gamma(alpha * a) / gamma(alpha * (a + 1))))
+        scale = gamma(alpha * a) / gamma(alpha * (a + 1))
         derived = [[fold_terms(collect_terms(_spray_terms(
                         spec, G_terms, mats[-1][i][j], collect_terms(prev[i][j]))))
                     for j in range(n)] for i in range(n)]
         correction = _mat_mul(M1_terms, prev, n)
         mat, prev = _fold_matrix([
-            [collect_terms(multiply_terms(scale, derived[i][j] + correction[i][j]))
+            [collect_terms(scale_terms(scale, derived[i][j] + correction[i][j]))
              for j in range(n)] for i in range(n)])
         mats.append(mat)
     return DualCoefficients(spec, tuple(mats))

@@ -27,7 +27,7 @@ derivatives are exact there, with coefficients tracked as
 structurally (bitwise) rather than merely to rounding.
 
 The geometry builders combine such term sums (:func:`expand_terms` each input
-once, then :func:`multiply_terms`, :func:`negate_terms`,
+once, then :func:`multiply_terms`, :func:`scale_terms`, :func:`negate_terms`,
 :func:`frac_partial_terms`, concatenation, :func:`collect_terms`) and print
 each result once with :func:`terms_to_expr`; :func:`fold_terms` stands in for
 printing a piece and expanding it again.
@@ -60,7 +60,7 @@ __all__ = [
     "Expr", "Num", "Var", "Call", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "parse", "to_str", "compile_exprs", "evaluate", "free_vars", "simplify", "simplify_node",
     "Term", "expand_terms", "collect_terms", "normalize_terms", "terms_to_expr",
-    "fold_terms", "multiply_terms", "negate_terms", "normal_form",
+    "fold_terms", "multiply_terms", "scale_terms", "negate_terms", "normal_form",
     "term_frac_partial", "frac_partial_terms", "frac_partial", "classical_partial",
     "frac_partial_at", "is_monomial_in",
 ]
@@ -723,8 +723,16 @@ def multiply_terms(a: Iterable[Term], b: Sequence[Term]) -> list[Term]:
     return [_term_mul(ta, tb) for ta in a for tb in b]
 
 
+def scale_terms(c: float, terms: Iterable[Term]) -> list[Term]:
+    """c times a term sum, bitwise what ``multiply_terms(expand_terms(Num(c)),
+    terms)`` gives: every coefficient scaled by c, and no terms for c = 0."""
+    if c == 0.0:
+        return []
+    return [Term(t.coeff.scaled(c), t.powers, t.others) for t in terms]
+
+
 def negate_terms(terms: Iterable[Term]) -> list[Term]:
-    return [Term(t.coeff.scaled(-1.0), t.powers, t.others) for t in terms]
+    return scale_terms(-1.0, terms)
 
 
 def collect_terms(terms: Iterable[Term]) -> tuple[Term, ...]:

@@ -85,6 +85,7 @@ from .expr import (
     negate_terms,
     normal_form,
     normalize_terms,
+    scale_terms,
     terms_to_expr,
 )
 from .geometry import jet_var
@@ -141,10 +142,6 @@ def _derive(f, var: str, alpha: float, mode: str):
     return classical_partial(f, var)
 
 
-def _scaled(c: float, terms: list[Term]) -> list[Term]:
-    return multiply_terms(expand_terms(Num(c)), terms)
-
-
 def _sum(terms) -> Expr:
     return terms_to_expr(collect_terms(terms))
 
@@ -173,16 +170,23 @@ def total_jet_derivative(spec: BundleSpec, f: Expr, mode: str = "fractional") ->
     return terms_to_expr(_jet_terms(spec, _source(f, mode), mode))
 
 
-def el_residual(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Expr, ...]:
-    """Euler-Lagrange residual components E_i (zero along extremal jets)."""
+def _ladder(spec: BundleSpec, L: Expr, level: int, mode: str, weight) -> tuple[Expr, ...]:
+    """Components sum_{a=max(level,1)..k} weight(a) d_t(d_{y^{i(a)}} L), with
+    the base partial d_{x^i} L added at level 0."""
     src = _source(L, mode)
     out = []
     for i in range(spec.n):
-        terms = _partial(src, jet_var(i, 0), spec.alpha, mode)
-        for a in range(1, spec.k + 1):
-            terms += _scaled((-1.0) ** a, _dragged(spec, src, i, a, mode))
+        terms = _partial(src, jet_var(i, 0), spec.alpha, mode) if level == 0 else []
+        for a in range(max(level, 1), spec.k + 1):
+            terms += scale_terms(weight(a), _dragged(spec, src, i, a, mode))
         out.append(_sum(terms))
     return tuple(out)
+
+
+def el_residual(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Expr, ...]:
+    """Euler-Lagrange residual components E_i (zero along extremal jets): the
+    ladder at level 0 with the weights (-1)^a."""
+    return _ladder(spec, L, 0, mode, lambda a: (-1.0) ** a)
 
 
 # ------------------------------------------------------------ covector ladder --
@@ -192,17 +196,8 @@ def craig_synge_level(spec: BundleSpec, L: Expr, level: int) -> tuple[Expr, ...]
     """Graded covector component at the given level (0..k), fractional mode."""
     if not (0 <= level <= spec.k):
         raise DomainError(f"ladder level must be in 0..{spec.k}, got {level}")
-    src = normalize_terms(L)
-    out = []
-    for i in range(spec.n):
-        terms = []
-        if level == 0:
-            terms += _partial(src, jet_var(i, 0), spec.alpha, "fractional")
-        for a in range(max(level, 1), spec.k + 1):
-            scale = (-1.0) ** a / gamma(1.0 + spec.alpha * a)
-            terms += _scaled(scale, _dragged(spec, src, i, a, "fractional"))
-        out.append(_sum(terms))
-    return tuple(out)
+    return _ladder(spec, L, level, "fractional",
+                   lambda a: (-1.0) ** a / gamma(1.0 + spec.alpha * a))
 
 
 def craig_synge_closed_form(
@@ -395,7 +390,7 @@ def fundamental_tensor(spec: BundleSpec, L: Expr, semantics: str = "classical"):
     for i in range(spec.n):
         di = _derive(src, jet_var(i, 1), spec.alpha, semantics)
         rows.append(tuple(
-            _sum(_scaled(0.5, _partial(di, jet_var(j, 1), spec.alpha, semantics)))
+            _sum(scale_terms(0.5, _partial(di, jet_var(j, 1), spec.alpha, semantics)))
             for j in range(spec.n)))
     return tuple(rows)
 
@@ -410,7 +405,7 @@ def alpha_square(spec: BundleSpec, diag_entries) -> Expr:
     terms = []
     for i, g in enumerate(diag_entries):
         power = expand_terms(Pow(Var(jet_var(i, 1)), 2.0 * spec.alpha))
-        terms += _scaled(scale, multiply_terms(expand_terms(g), power))
+        terms += scale_terms(scale, multiply_terms(expand_terms(g), power))
     return _sum(terms)
 
 
@@ -456,7 +451,7 @@ def canonical_prolongation(spec: BundleSpec, rows, inverse_rows=None) -> Prolong
 
     def christoffel(i: int, j: int, l: int) -> tuple[Term, ...]:
         return collect_terms(
-            t for s in range(n) for t in _scaled(0.5, multiply_terms(
+            t for s in range(n) for t in scale_terms(0.5, multiply_terms(
                 ginv[i][s], dg[j][s][l] + dg[l][j][s] + negate_terms(dg[s][j][l]))))
 
     gam = [[[christoffel(i, j, l) for l in range(n)] for j in range(n)] for i in range(n)]
@@ -464,7 +459,7 @@ def canonical_prolongation(spec: BundleSpec, rows, inverse_rows=None) -> Prolong
     y = [expand_terms(Var(jet_var(m, 1))) for m in range(n)]
     spray = tuple(
         _sum(t for p in range(n) for m in range(n)
-             for t in _scaled(0.5, multiply_terms(folded[i][p][m], multiply_terms(y[p], y[m]))))
+             for t in scale_terms(0.5, multiply_terms(folded[i][p][m], multiply_terms(y[p], y[m]))))
         for i in range(n))
     dual1 = tuple(
         tuple(_sum(t for m in range(n) for t in multiply_terms(folded[i][j][m], y[m]))

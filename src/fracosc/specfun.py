@@ -16,7 +16,7 @@ Conventions
   It chooses a method by region, with s = |z|^(1/alpha), and returns a value
   within the accuracy below or raises; never a wrong finite value or inf.
 
-  - Series, for z >= 0 with s <= 40, z < 0 with s <= 2, and z > 0 when
+  - Series, for z >= 0 with s <= 16, z < 0 with s <= 2, and z > 0 when
     alpha > 2: the terms divide by a cached table of Gamma(1 + alpha m) and
     stop at a 1e-15 relative tail. About 1e-14 relative for z >= 0; below
     3e-15 absolute for z < 0, where the cancellation costs at most e^2.
@@ -29,10 +29,14 @@ Conventions
     the value is too small for its sign to be resolved, which needs alpha
     within about 1e-12 of 1.
   - exp(z), for z < 0 with s > 2 and alpha = 1.
-  - Asymptotics, for z > 0 with s > 40 and alpha <= 2: exp(s)/alpha minus
-    sum_{j=1}^{7} z^-j / Gamma(1 - alpha j). Below 1e-12 relative, where
-    rounding s = z^(1/alpha) costs up to s ln(s) 1e-16. DomainError when the
-    value is beyond the double range.
+  - Contour + residue exp(s)/alpha, for z > 0 with s > 16 and alpha <= 2: the
+    same trapezoidal sum plus the residue of the one pole s = z^(1/alpha),
+    which lies outside the parabola. Below 2e-14 relative, plus up to
+    s ln(s) 1e-16 from rounding s = z^(1/alpha). DomainError when the value
+    is beyond the double range.
+  - Gap: for alpha below about 0.1 the positive axis has s in about [5, 16]
+    where the series needs more than 600 terms and the pole is too close to
+    the contour; there it raises AccuracyError.
   - None, for z < 0 with s > 2 and alpha > 1: the series would lose its
     digits to cancellation, so AccuracyError.
 """
@@ -120,9 +124,10 @@ ML_TOL = 1e-15
 #: on the negative axis the series serves |z|^(1/alpha) <= ML_SERIES_S; its
 #: cancellation there costs at most a factor e^2 on the rounding error
 ML_SERIES_S = 2.0
-#: on the positive axis the asymptotic expansion serves z^(1/alpha) > ML_ASYMPTOTIC_S,
-#: where its first omitted term is below 1e-15 relative
-ML_ASYMPTOTIC_S = 40.0
+#: on the positive axis (alpha <= 2) the contour plus the residue of the pole
+#: s = z^(1/alpha) serves s > ML_RESIDUE_S, where that pole is far enough
+#: outside the parabola for 2e-14 relative
+ML_RESIDUE_S = 16.0
 #: trapezoid nodes k = 0..N on the parabolic contour (Weideman & Trefethen 2007)
 ML_CONTOUR_NODES = 17
 #: a contour value below this fraction of its summed |terms| has no resolved
@@ -144,12 +149,18 @@ def mittag_leffler(alpha: float, z: float) -> float:
         if alpha == 1.0:
             return math.exp(z)
         if alpha < 1.0:
-            return _ml_contour(alpha, -z)
+            return _ml_contour(alpha, z)
         raise AccuracyError(
             f"mittag_leffler(alpha={alpha}, z={z}): alpha > 1 with |z|^(1/alpha) > "
             f"{ML_SERIES_S}, where the series loses its digits to cancellation")
-    if z > 0 and s > ML_ASYMPTOTIC_S and alpha <= 2.0:
-        return _ml_asymptotic(alpha, z, s)
+    if z > 0 and s > ML_RESIDUE_S and alpha <= 2.0:
+        try:
+            residue = math.exp(s) / alpha
+        except OverflowError:
+            residue = math.inf
+        if not math.isfinite(residue):
+            raise DomainError(f"mittag_leffler(alpha={alpha}, z={z}) overflows: exp({s!r})/alpha")
+        return _ml_contour(alpha, z) + residue
     return _ml_series(alpha, z)
 
 
@@ -197,29 +208,12 @@ def _ml_series(alpha: float, z: float) -> float:
     )
 
 
-def _ml_asymptotic(alpha: float, z: float, s: float) -> float:
-    """E_alpha(z) for z > 0, 0 < alpha <= 2 and s = z^(1/alpha) > ML_ASYMPTOTIC_S:
-    exp(s)/alpha - sum_{j=1}^{7} z^-j / Gamma(1 - alpha j)."""
-    try:
-        lead = math.exp(s) / alpha
-    except OverflowError:
-        lead = math.inf
-    if not math.isfinite(lead):
-        raise DomainError(f"mittag_leffler(alpha={alpha}, z={z}) overflows: exp({s!r})/alpha")
-    tail = 0.0
-    for j in range(1, 8):
-        x = 1.0 - alpha * j
-        if x > 0.0 or x != math.floor(x):  # 1/Gamma vanishes at the poles
-            tail += z**-j / math.gamma(x)
-    return lead - tail
-
-
 @functools.lru_cache(maxsize=16)
 def _contour_table(alpha: float) -> tuple[tuple[complex, complex], ...]:
     """(w_k p_k, p_k) with p_k = s_k^alpha at the nodes s_k = mu (1 + i u_k)^2,
     u_k = k h, h = 3/N, mu = pi N / 12 (N = ML_CONTOUR_NODES). Since
     s'(u)/s = 2i/(1 + iu), the rule h/(2 pi i) sum_k e^s F(s) s'(u) with
-    F = s^(alpha-1)/(s^alpha + x) weighs p/(p + x) by w_k = 2 h e^s / (pi (1 + iu)),
+    F = s^(alpha-1)/(s^alpha - z) weighs p/(p - z) by w_k = 2 h e^s / (pi (1 + iu)),
     once the conjugate half k < 0 is folded into a real part (half weight at k = 0)."""
     n = ML_CONTOUR_NODES
     h, mu = 3.0 / n, math.pi * n / 12.0
@@ -233,20 +227,22 @@ def _contour_table(alpha: float) -> tuple[tuple[complex, complex], ...]:
     return tuple(out)
 
 
-def _ml_contour(alpha: float, x: float) -> float:
-    """E_alpha(-x) for 0 < alpha < 1, x > 0: the inverse Laplace transform of
-    s^(alpha-1)/(s^alpha + x) at t = 1 by the trapezoidal rule on a parabola.
-    For alpha < 1 no pole lies on the principal sheet, so only the branch cut
-    on the negative axis is enclosed (Garrappa 2015)."""
+def _ml_contour(alpha: float, z: float) -> float:
+    """The trapezoidal rule on a parabola for the inverse Laplace transform of
+    s^(alpha-1)/(s^alpha - z) at t = 1 (Garrappa 2015). For z < 0 and
+    alpha < 1 no pole lies on the principal sheet, so only the branch cut on
+    the negative axis is enclosed and the sum is E_alpha(z). For z > 0 and
+    alpha <= 2 the one pole s = z^(1/alpha) lies outside the parabola once
+    s > mu, and the caller adds its residue."""
     total = 0j
     size = 0.0
     for q, p in _contour_table(alpha):
-        term = q / (p + x)
+        term = q / (p - z)
         total += term
         size += abs(term)
     value = total.real
-    if value <= ML_CONTOUR_FLOOR * size:
+    if z < 0 and value <= ML_CONTOUR_FLOOR * size:
         raise AccuracyError(
-            f"mittag_leffler(alpha={alpha}, z={-x}): the contour value {value!r} "
+            f"mittag_leffler(alpha={alpha}, z={z}): the contour value {value!r} "
             f"is below its resolution {ML_CONTOUR_FLOOR * size:.1e}")
     return value

@@ -9,9 +9,9 @@ import _reference_builders as ref
 from fracosc.errors import DomainError, EvalError, ParseError
 from fracosc.expr import (
     Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
-    classical_partial, compile_exprs, evaluate, frac_partial, frac_partial_at, free_vars,
-    is_monomial_in, normal_form, normalize_terms, parse, simplify,
-    term_frac_partial, to_str,
+    classical_partial, collect_terms, compile_exprs, evaluate, expand_terms, frac_partial,
+    frac_partial_at, frac_partial_terms, free_vars, is_monomial_in, multiply_terms,
+    normal_form, normalize_terms, parse, scale_terms, simplify, term_frac_partial, to_str,
 )
 from fracosc.series import FracSeries, frac_derive
 
@@ -218,6 +218,26 @@ def test_mixed_partials_commute(alpha, g1, g2, c):
     d21 = frac_partial(frac_partial(e, "x2", alpha), "x1", alpha)
     env = {"x1": 1.3, "x2": 0.8}
     assert evaluate(d12, env) == pytest.approx(evaluate(d21, env), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs, st.one_of(st.sampled_from([0.0, -0.0, -1.0]),
+                         st.floats(allow_nan=False, allow_infinity=False)))
+def test_scale_terms_is_the_product_with_the_expanded_constant(e, c):
+    try:
+        terms = expand_terms(e)
+    except (DomainError, EvalError):
+        assume(False)
+    # uncollected, collected, and a fractional partial with Gamma ledgers kept
+    sums = [terms, list(collect_terms(terms))]
+    try:
+        sums.append(list(frac_partial_terms(sums[1], "x1", 0.5)))
+    except DomainError:
+        pass
+    for terms in sums:
+        want = multiply_terms(expand_terms(Num(c)), terms)
+        got = scale_terms(c, terms)
+        assert got == want and repr(got) == repr(want)
 
 
 def test_numeric_fallback_with_unbound_axis_is_eval_error():

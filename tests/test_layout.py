@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module reaches into another's
 private names, only ``expr`` evaluates an Expr inside a loop, only
-``geometry.jet_var`` spells a jet-coordinate name, and only ``specfun``
-calls the gamma functions of ``math``."""
+``geometry.jet_var`` spells a jet-coordinate name, only ``specfun`` calls
+the gamma functions of ``math``, and only ``expr`` expands a constant into
+a term sum to scale by it."""
 
 import ast
 import re
@@ -101,4 +102,21 @@ def test_only_specfun_calls_math_gamma():
             elif isinstance(node, ast.ImportFrom) and node.module == "math" and any(
                     a.name in ("gamma", "lgamma") for a in node.names):
                 offenders.append(f"{path.name}:{node.lineno} from math import")
+    assert offenders == []
+
+
+def _called(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_only_expr_expands_a_constant_to_scale_terms():
+    # term scaling has one owner: expr.scale_terms, not expand_terms(Num(c))
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _called(node, "expand_terms") and any(_called(a, "Num") for a in node.args):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []

@@ -248,12 +248,35 @@ def test_mittag_leffler_series_is_bitwise_the_reference_loop(alpha, z):
             specfun._ml_series(alpha, z)
         return
     assert specfun._ml_series(alpha, z).hex() == want.hex()
-    # the public function takes the series on the positive axis below
-    # z^(1/alpha) = 40, and everywhere below |z|^(1/alpha) = 2
-    if (z >= 0 and z ** (1 / alpha) <= 40) or abs(z) ** (1 / alpha) <= 2:
+    # the public function takes the series on the positive axis up to
+    # z^(1/alpha) = ML_RESIDUE_S or for alpha > 2, and everywhere below
+    # |z|^(1/alpha) = 2
+    if (z >= 0 and (z ** (1 / alpha) <= specfun.ML_RESIDUE_S or alpha > 2)
+            or abs(z) ** (1 / alpha) <= 2):
         assert mittag_leffler(alpha, z).hex() == want.hex()
 
 
 def test_mittag_leffler_alpha_above_one_refuses_the_cancelling_series():
     with pytest.raises(AccuracyError, match="alpha > 1"):
         mittag_leffler(1.5, -10.0)
+
+
+# on the positive axis the series runs out of its 600 terms before s = 40 when
+# alpha is below about 0.155; the contour plus the residue of the pole covers it
+@pytest.mark.parametrize("alpha,z", [(0.1, 1.4)] + [
+    (alpha, s**alpha) for alpha, s in ((0.1, 20.0), (0.1, 39.0), (0.12, 30.0), (0.15, 38.0))])
+def test_mittag_leffler_small_alpha_positive_axis_matches_mpmath(alpha, z):
+    assert ml_close(mittag_leffler(alpha, z), ml_oracle(alpha, z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.1, max_value=2.0),
+       st.floats(min_value=specfun.ML_RESIDUE_S, max_value=40.0, exclude_min=True))
+def test_mittag_leffler_residue_region_agrees_with_the_series(alpha, s):
+    # where the series converges, contour + residue stays within 5e-14 of it
+    z = s**alpha
+    try:
+        want = specfun._ml_series(alpha, z)
+    except AccuracyError:
+        return
+    assert abs(mittag_leffler(alpha, z) - want) <= 5e-14 * abs(want)

@@ -19,12 +19,11 @@ The canonical vertical dilation fields and sprays carry rung weights
 
     w_1 = Gamma(1 + alpha),     w_b = Gamma(alpha b)/Gamma(alpha)  (b >= 2).
 
-Applied uniformly (the default ``WeightConvention.UNIFORM``) they make the
-whole structure telescope exactly: the tangent shift J maps the order-a
-dilation field onto the order-(a-1) one and maps any spray onto the top
-dilation field, at every order. ``WeightConvention.FIRST_ORDER_UNWEIGHTED`` leaves the
-order-1 dilation field unweighted, which breaks the telescope by the factor
-Gamma(1+alpha) at order 2 — kept so the mismatch can be measured.
+They always apply, at every order, and make the whole structure telescope
+exactly: the tangent shift J maps the order-a dilation field onto the
+order-(a-1) one and maps any spray onto the top dilation field. An unweighted
+order-1 field misses the shifted order-2 one by Gamma(1+alpha)-1; the tests
+assert that defect.
 
 Vertical structures
 -------------------
@@ -33,8 +32,8 @@ Vertical structures
 * ``tangent_shift``/``tangent_structure_matrix``: the order-alpha tangent
   endomorphism; shifts slot level c to c+1 and kills the top. Nilpotent of
   index k+1 with rank k*n.
-* ``spray_field(spec, G)``: slot level a gets w_{a+1} y^{i(a+1)} (a < k) and
-  the top slot gets -w_k G^i; any such field satisfies J(S) = top dilation.
+* ``spray_field(spec, G)``: levels 1..k of the top dilation field, then
+  -w_k G^i in the top slot; any such field satisfies J(S) = top dilation.
 
 Change of charts
 ----------------
@@ -60,7 +59,6 @@ structural cancellation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -73,15 +71,14 @@ from .expr import (
     Num,
     Term,
     Var,
-    classical_partial,
     collect_terms,
     compile_exprs,
     expand_terms,
     fold_terms,
-    frac_partial_terms,
     multiply_terms,
     normal_form,
     normalize_terms,
+    partial_terms,
     scale_terms,
     simplify,
     simplify_node,
@@ -93,7 +90,6 @@ from .specfun import gamma
 
 __all__ = [
     "BundleSpec",
-    "WeightConvention",
     "rung_weight",
     "JetPoint",
     "jet_lift",
@@ -151,11 +147,6 @@ class BundleSpec:
     @property
     def dim(self) -> int:
         return (self.k + 1) * self.n
-
-
-class WeightConvention(Enum):
-    UNIFORM = "uniform"            # rung weights at every order, exact telescope
-    FIRST_ORDER_UNWEIGHTED = "first-order-unweighted"  # order-1 dilation field unweighted
 
 
 def rung_weight(alpha: float, b: int) -> float:
@@ -255,9 +246,7 @@ def _zero_level(n: int) -> tuple[Expr, ...]:
     return tuple(Num(0.0) for _ in range(n))
 
 
-def liouville_field(
-    spec: BundleSpec, a: int, convention: WeightConvention = WeightConvention.UNIFORM
-) -> BundleField:
+def liouville_field(spec: BundleSpec, a: int) -> BundleField:
     """Order-a vertical dilation field, 1 <= a <= k: slot level k-a+b carries
     w_b y^{i(b)} for b = 1..a (so order 1 populates only the top level)."""
     if not (1 <= a <= spec.k):
@@ -265,8 +254,6 @@ def liouville_field(
     levels: list[tuple[Expr, ...]] = [_zero_level(spec.n) for _ in range(spec.k + 1)]
     for b in range(1, a + 1):
         w = rung_weight(spec.alpha, b)
-        if convention is WeightConvention.FIRST_ORDER_UNWEIGHTED and a == 1:
-            w = 1.0
         slot = spec.k - a + b
         levels[slot] = tuple(
             simplify(Mul(Num(w), Var(name))) for name in spec.y_names(b)
@@ -287,20 +274,13 @@ def tangent_structure_matrix(spec: BundleSpec) -> np.ndarray:
 
 
 def spray_field(spec: BundleSpec, G: tuple[Expr, ...]) -> BundleField:
-    """Second-order-type field with coefficients G^i in the top slot:
-    level a < k carries w_{a+1} y^{i(a+1)}, the top level carries -w_k G^i.
-    The tangent shift maps any such field onto the top dilation field."""
+    """Second-order-type field with coefficients G^i in the top slot: levels
+    a < k are levels a+1 of the top dilation field, w_{a+1} y^{i(a+1)}, and the
+    top level carries -w_k G^i; the tangent shift maps it onto that field."""
     if len(G) != spec.n:
         raise DomainError(f"spray needs {spec.n} coefficient expressions")
-    levels = []
-    for a in range(spec.k):
-        w = rung_weight(spec.alpha, a + 1)
-        levels.append(
-            tuple(simplify(Mul(Num(w), Var(name))) for name in spec.y_names(a + 1))
-        )
-    wk = rung_weight(spec.alpha, spec.k)
-    levels.append(tuple(simplify(Mul(Num(-wk), g)) for g in G))
-    return BundleField(spec, tuple(levels))
+    top = tuple(simplify(Mul(Num(-rung_weight(spec.alpha, spec.k)), g)) for g in G)
+    return BundleField(spec, (*liouville_field(spec, spec.k).coeffs[1:], top))
 
 
 def spray_derivation(spec: BundleSpec, G: tuple[Expr, ...]):
@@ -323,18 +303,15 @@ def _spray_terms(spec: BundleSpec, G_terms, f: Expr, f_terms) -> list[Term]:
     and f by its Expr and its collected terms."""
     alpha, n, k = spec.alpha, spec.n, spec.k
     out = []
-    w1 = rung_weight(alpha, 1)
-    for h in range(n):
-        d = fold_terms(frac_partial_terms(f_terms, jet_var(h, 0), alpha))
-        out += multiply_terms(scale_terms(w1, expand_terms(Var(jet_var(h, 1)))), d)
-    for b in range(2, k + 1):
+    for b in range(1, k + 1):
         w = rung_weight(alpha, b)
+        src, order = (f_terms, alpha) if b == 1 else (f, None)
         for h in range(n):
-            d = expand_terms(classical_partial(f, jet_var(h, b - 1)))
+            d = partial_terms(src, jet_var(h, b - 1), order)
             out += multiply_terms(scale_terms(w, expand_terms(Var(jet_var(h, b)))), d)
     wk = -rung_weight(alpha, k)
     for h in range(n):
-        d = expand_terms(classical_partial(f, jet_var(h, k)))
+        d = partial_terms(f, jet_var(h, k), None)
         out += multiply_terms(scale_terms(wk, G_terms[h]), d)
     return out
 
@@ -553,7 +530,7 @@ def spray_to_dual(spec: BundleSpec, G: tuple[Expr, ...]) -> DualCoefficients:
     the fibres)."""
     n, alpha = spec.n, spec.alpha
     M1, M1_terms = _fold_matrix([
-        [normalize_terms(classical_partial(G[i], jet_var(j, 1))) for j in range(n)]
+        [collect_terms(partial_terms(G[i], jet_var(j, 1), None)) for j in range(n)]
         for i in range(n)])
     mats, prev = [M1], M1_terms
     G_terms = [expand_terms(g) for g in G] if spec.k > 1 else []  # S runs for k > 1 only

@@ -207,6 +207,9 @@ def _el_reference(cfg, sha, tol, out) -> int:
     prob, kind = _reference_problem(cfg)
     samples = get_int(cfg, "el.samples", 25)
     seed = get_int(cfg, "el.seed", 7)
+    for key, value in (("el.samples", samples), ("el.seed", seed)):
+        if value < 0:
+            raise ParseError(f"config key {key!r} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
     prob.residual  # built up front, so a bad Lagrangian fails even with no samples
     names = prob.spec.all_names(prob.spec.k + 1)

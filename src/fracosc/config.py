@@ -96,6 +96,8 @@ def get_floats(cfg: dict[str, str], key: str, default=None) -> tuple[float, ...]
             _missing(key)
         return tuple(default)
     parts = [p.strip() for p in cfg[key].split(",") if p.strip()]
+    if not parts:
+        raise ParseError(f"config key {key!r} has no numbers: {cfg[key]!r}")
     try:
         values = tuple(float(p) for p in parts)
     except ValueError:

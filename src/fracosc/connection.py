@@ -43,16 +43,15 @@ from .expr import (
     collect_terms,
     compile_exprs,
     expand_terms,
-    fold_terms,
-    frac_partial_terms,
     multiply_terms,
     negate_terms,
     normal_form,
     normalize_terms,
+    partial_terms,
     terms_to_expr,
     to_str,
 )
-from .geometry import jet_var
+from .geometry import jet_var, require_invertible
 
 __all__ = [
     "MetricField",
@@ -122,10 +121,7 @@ def _symmetric(upper, n: int) -> np.ndarray:
 
 
 def _inverse(g: np.ndarray) -> np.ndarray:
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        raise DomainError("metric is singular at the evaluation point") from None
+    ginv = require_invertible(g, "metric at the evaluation point")
     return 0.5 * (ginv + ginv.T)
 
 
@@ -171,10 +167,10 @@ class MetricalConnection:
         for f given by its collected terms: the derivation along the base
         direction i when a = 0, along y^{i(a)} otherwise."""
         spec = self.spec
-        out = fold_terms(frac_partial_terms(f, jet_var(i, a), spec.alpha))
+        out = partial_terms(f, jet_var(i, a), spec.alpha)
         for b in range(1, spec.k - a + 1):
             for m in range(spec.n):
-                d = fold_terms(frac_partial_terms(f, jet_var(m, a + b), spec.alpha))
+                d = partial_terms(f, jet_var(m, a + b), spec.alpha)
                 out += negate_terms(multiply_terms(self._primal_terms[b - 1][m][i], d))
         return collect_terms(out)
 

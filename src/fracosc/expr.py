@@ -30,7 +30,8 @@ The geometry builders combine such term sums (:func:`expand_terms` each input
 once, then :func:`multiply_terms`, :func:`scale_terms`, :func:`negate_terms`,
 :func:`frac_partial_terms`, concatenation, :func:`collect_terms`) and print
 each result once with :func:`terms_to_expr`; :func:`fold_terms` stands in for
-printing a piece and expanding it again.
+printing a piece and expanding it again, and :func:`partial_terms` for
+printing a partial, order-alpha or classical, and expanding it again.
 
 Expressions built once are read at many points through :func:`compile_exprs`:
 the distinct nodes of a tuple of Exprs laid out once in post-order, one slot
@@ -62,7 +63,7 @@ __all__ = [
     "Term", "expand_terms", "collect_terms", "normalize_terms", "terms_to_expr",
     "fold_terms", "multiply_terms", "scale_terms", "negate_terms", "normal_form",
     "term_frac_partial", "frac_partial_terms", "frac_partial", "classical_partial",
-    "frac_partial_at", "is_monomial_in",
+    "frac_partial_at", "is_monomial_in", "partial_terms",
 ]
 
 # --------------------------------------------------------------------- AST --
@@ -941,3 +942,12 @@ def classical_partial(e: Expr, var: str) -> Expr:
         return out
 
     return d(e)
+
+
+def partial_terms(f, var: str, order: float | None) -> list[Term]:
+    """The terms that expanding a partial's Expr gives: the reviewed
+    order-``order`` partial of the collected terms ``f``, or for
+    ``order=None`` the classical partial of the Expr ``f``."""
+    if order is None:
+        return expand_terms(classical_partial(f, var))
+    return fold_terms(frac_partial_terms(f, var, order))

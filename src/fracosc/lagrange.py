@@ -12,8 +12,10 @@ with the jet total derivative applied once per order,
 
 Both derivative semantics are supported: ``mode="fractional"`` takes every
 partial in the reviewed order-alpha sense, ``mode="classical"`` takes ordinary
-partials. The residual involves jet variables one level past k (the y^{(k+1)}
-introduced by d_t), so numeric evaluation expects overshoot jet points.
+partials; a mode resolves once to the order, alpha or None, that every partial
+takes through :func:`fracosc.expr.partial_terms`. The residual involves jet
+variables one level past k (the y^{(k+1)} introduced by d_t), so numeric
+evaluation expects overshoot jet points.
 
 A curve is extremal when the residual vanishes along its jet. The residual is
 linear in the overshoot variables for Lagrangians polynomial in the fibre
@@ -80,11 +82,11 @@ from .expr import (
     compile_exprs,
     expand_terms,
     fold_terms,
-    frac_partial_terms,
     multiply_terms,
     negate_terms,
     normal_form,
     normalize_terms,
+    partial_terms,
     scale_terms,
     terms_to_expr,
 )
@@ -117,68 +119,65 @@ __all__ = [
 ]
 
 
-def _source(f: Expr, mode: str):
-    """``f`` in the form the partials of ``mode`` take: its collected terms
+def _order(spec: BundleSpec, mode: str) -> float | None:
+    """The order of the partials of ``mode``, as :func:`partial_terms` takes
+    it: alpha for fractional partials, None for classical ones."""
+    if mode not in ("fractional", "classical"):
+        raise DomainError(f"unknown derivative mode {mode!r}")
+    return spec.alpha if mode == "fractional" else None
+
+
+def _source(f: Expr, order):
+    """``f`` in the form the partials of ``order`` take: its collected terms
     for fractional partials, the Expr itself for classical ones."""
-    if mode == "fractional":
-        return normalize_terms(f)
-    if mode == "classical":
-        return f
-    raise DomainError(f"unknown derivative mode {mode!r}")
+    return f if order is None else normalize_terms(f)
 
 
-def _partial(f, var: str, alpha: float, mode: str) -> list[Term]:
-    """The terms of the partial of ``f`` (in :func:`_source` form) along
-    ``var``: what expanding the partial's Expr gives."""
-    if mode == "fractional":
-        return fold_terms(frac_partial_terms(f, var, alpha))
-    return expand_terms(classical_partial(f, var))
-
-
-def _derive(f, var: str, alpha: float, mode: str):
+def _derive(f, var: str, order):
     """The partial of ``f`` along ``var``, again in :func:`_source` form."""
-    if mode == "fractional":
-        return collect_terms(_partial(f, var, alpha, mode))
-    return classical_partial(f, var)
+    if order is None:
+        return classical_partial(f, var)
+    return collect_terms(partial_terms(f, var, order))
 
 
 def _sum(terms) -> Expr:
     return terms_to_expr(collect_terms(terms))
 
 
-def _jet_terms(spec: BundleSpec, f, mode: str, levels: int | None = None) -> tuple[Term, ...]:
+def _jet_terms(spec: BundleSpec, f, order, levels: int | None = None) -> tuple[Term, ...]:
     """Collected terms of d_t f for f in :func:`_source` form."""
     levels = spec.k + 1 if levels is None else levels
     out = []
     for b in range(1, levels + 1):
         for i in range(spec.n):
-            d = _partial(f, jet_var(i, b - 1), spec.alpha, mode)
+            d = partial_terms(f, jet_var(i, b - 1), order)
             out += multiply_terms(expand_terms(Var(jet_var(i, b))), d)
     return collect_terms(out)
 
 
-def _dragged(spec: BundleSpec, L, i: int, a: int, mode: str,
+def _dragged(spec: BundleSpec, L, i: int, a: int, order,
              levels: int | None = None) -> list[Term]:
     """The terms of d_t(d_{y^{i(a)}} L) for L in :func:`_source` form."""
-    inner = _derive(L, jet_var(i, a), spec.alpha, mode)
-    return fold_terms(_jet_terms(spec, inner, mode, levels))
+    inner = _derive(L, jet_var(i, a), order)
+    return fold_terms(_jet_terms(spec, inner, order, levels))
 
 
 def total_jet_derivative(spec: BundleSpec, f: Expr, mode: str = "fractional") -> Expr:
     """Single application of d_t = sum_{i,b} y^{i(b)} d_{y^{i(b-1)}}, with b
     running to k+1, the overshoot needed by the Euler-Lagrange residual."""
-    return terms_to_expr(_jet_terms(spec, _source(f, mode), mode))
+    order = _order(spec, mode)
+    return terms_to_expr(_jet_terms(spec, _source(f, order), order))
 
 
-def _ladder(spec: BundleSpec, L: Expr, level: int, mode: str, weight) -> tuple[Expr, ...]:
+def _ladder(spec: BundleSpec, L: Expr, level: int, order, weight) -> tuple[Expr, ...]:
     """Components sum_{a=max(level,1)..k} weight(a) d_t(d_{y^{i(a)}} L), with
     the base partial d_{x^i} L added at level 0."""
-    src = _source(L, mode)
+    src = _source(L, order)
     out = []
     for i in range(spec.n):
-        terms = _partial(src, jet_var(i, 0), spec.alpha, mode) if level == 0 else []
+        terms = partial_terms(src, jet_var(i, 0), order) if level == 0 else []
         for a in range(max(level, 1), spec.k + 1):
-            terms += scale_terms(weight(a), _dragged(spec, src, i, a, mode))
+            terms += scale_terms(weight(a), _dragged(spec, src, i, a, order))
         out.append(_sum(terms))
     return tuple(out)
 
@@ -186,7 +185,7 @@ def _ladder(spec: BundleSpec, L: Expr, level: int, mode: str, weight) -> tuple[E
 def el_residual(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Expr, ...]:
     """Euler-Lagrange residual components E_i (zero along extremal jets): the
     ladder at level 0 with the weights (-1)^a."""
-    return _ladder(spec, L, 0, mode, lambda a: (-1.0) ** a)
+    return _ladder(spec, L, 0, _order(spec, mode), lambda a: (-1.0) ** a)
 
 
 # ------------------------------------------------------------ covector ladder --
@@ -196,7 +195,7 @@ def craig_synge_level(spec: BundleSpec, L: Expr, level: int) -> tuple[Expr, ...]
     """Graded covector component at the given level (0..k), fractional mode."""
     if not (0 <= level <= spec.k):
         raise DomainError(f"ladder level must be in 0..{spec.k}, got {level}")
-    return _ladder(spec, L, level, "fractional",
+    return _ladder(spec, L, level, spec.alpha,
                    lambda a: (-1.0) ** a / gamma(1.0 + spec.alpha * a))
 
 
@@ -213,8 +212,8 @@ def craig_synge_closed_form(
     src = normalize_terms(L)
     out = []
     for i in range(spec.n):
-        terms = _partial(src, jet_var(i, spec.k - 1), spec.alpha, "fractional")
-        terms += negate_terms(_dragged(spec, src, i, spec.k, "fractional", spec.k))
+        terms = partial_terms(src, jet_var(i, spec.k - 1), spec.alpha)
+        terms += negate_terms(_dragged(spec, src, i, spec.k, spec.alpha, spec.k))
         for j in range(spec.n):
             top = expand_terms(Var(jet_var(j, spec.k + 1)))
             terms += negate_terms(multiply_terms(expand_terms(fundamental[i][j]), top))
@@ -383,15 +382,13 @@ def reference_residual(problem: ReferenceProblem, env: dict[str, float]) -> floa
 def fundamental_tensor(spec: BundleSpec, L: Expr, semantics: str = "classical"):
     """Half the level-1 fibre Hessian of L: classical partials or reviewed
     fractional partials depending on ``semantics``."""
-    if semantics not in ("classical", "fractional"):
-        raise DomainError(f"unknown Hessian semantics {semantics!r}")
-    src = _source(L, semantics)
+    order = _order(spec, semantics)
+    src = _source(L, order)
     rows = []
     for i in range(spec.n):
-        di = _derive(src, jet_var(i, 1), spec.alpha, semantics)
-        rows.append(tuple(
-            _sum(scale_terms(0.5, _partial(di, jet_var(j, 1), spec.alpha, semantics)))
-            for j in range(spec.n)))
+        di = _derive(src, jet_var(i, 1), order)
+        rows.append(tuple(_sum(scale_terms(0.5, partial_terms(di, jet_var(j, 1), order)))
+                          for j in range(spec.n)))
     return tuple(rows)
 
 
@@ -446,8 +443,7 @@ def canonical_prolongation(spec: BundleSpec, rows, inverse_rows=None) -> Prolong
     ginv = diagonal_inverse(spec, rows) if inverse_rows is None else inverse_rows
     ginv = [[expand_terms(e) for e in row] for row in ginv]
     g = [[normalize_terms(e) for e in row] for row in rows]
-    dg = [[[fold_terms(frac_partial_terms(e, jet_var(j, 0), alpha)) for e in row] for row in g]
-          for j in range(n)]
+    dg = [[[partial_terms(e, jet_var(j, 0), alpha) for e in row] for row in g] for j in range(n)]
 
     def christoffel(i: int, j: int, l: int) -> tuple[Term, ...]:
         return collect_terms(

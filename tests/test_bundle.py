@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import _reference_builders as ref
 from fracosc.bundle import (
+    BundleField,
     BundleSpec,
     DualCoefficients,
     JetPoint,
     PrimalCoefficients,
-    WeightConvention,
     adapted_frame,
     dual_coframe,
     dual_to_primal,
@@ -35,7 +35,7 @@ from fracosc.bundle import (
 )
 from fracosc.errors import DomainError
 from fracosc import lagrange
-from fracosc.expr import Num, evaluate, normal_form, parse, to_str
+from fracosc.expr import Num, Var, evaluate, normal_form, parse, to_str
 from fracosc.geometry import ChartMap, base_vars, jet_var, weighted_jacobian_exprs
 from fracosc.series import FracSeries
 from fracosc.specfun import gamma
@@ -105,8 +105,8 @@ def test_tangent_shift_ladder_exact():
 
 def test_unweighted_first_order_ladder_breaks_telescope():
     spec = BundleSpec(1, 2, 0.3)
-    shifted = tangent_shift(liouville_field(spec, 2, WeightConvention.FIRST_ORDER_UNWEIGHTED))
-    unweighted = liouville_field(spec, 1, WeightConvention.FIRST_ORDER_UNWEIGHTED)
+    shifted = tangent_shift(liouville_field(spec, 2))
+    unweighted = BundleField(spec, ((Num(0.0),), (Num(0.0),), (Var("y1_1"),)))
     env = {"y1_1": 1.0, "y1_2": 0.6}
     gap = abs(shifted.eval_at(env) - unweighted.eval_at(env)).max()
     # the unweighted order-1 field misses the shifted image by Gamma(1+alpha)-1
@@ -136,6 +136,15 @@ def test_spray_maps_to_top_dilation():
     wk = rung_weight(0.5, 2)
     assert evaluate(S.coeffs[2][0], env) == pytest.approx(-wk * 1.2 * 0.9**2)
     assert evaluate(S.coeffs[2][1], env) == pytest.approx(-wk * 0.7**2 * 1.4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_spray_levels_below_the_top_are_the_top_dilation_field(n, k):
+    spec = BundleSpec(n, k, 0.35)
+    G = tuple(parse(f"x{i + 1}*y{i + 1}_1^2 + 0.5*x1") for i in range(n))
+    below, dilation = spray_field(spec, G).coeffs[:-1], liouville_field(spec, spec.k).coeffs[1:]
+    assert below == dilation and repr(below) == repr(dilation)
 
 
 # ---------------------------------------------------------- jet transform --

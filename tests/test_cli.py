@@ -82,6 +82,12 @@ def test_config_numbers_must_be_finite(text):
         get_floats({"v": f"1.0, {text}"}, "v")
 
 
+@pytest.mark.parametrize("text", ["", " ", ",", " , ,"])
+def test_config_number_lists_must_not_be_empty(text):
+    with pytest.raises(ParseError, match="'v' has no numbers"):
+        get_floats({"v": text}, "v")
+
+
 def test_load_config_hashes_bytes(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("a = 1\n")
@@ -246,6 +252,25 @@ def test_el_bad_mode_is_config_error(tmp_path):
     assert main(["el", "--config", str(p)]) == 1
 
 
+@pytest.mark.parametrize("key,value", [("el.samples", "-5"), ("el.seed", "-1")])
+def test_el_reference_negative_counts_are_config_errors(key, value, tmp_path, capsys):
+    # a negative sample count used to pass any assertion without checking anything
+    p = tmp_path / "neg.cfg"
+    p.write_text(f"{key} = {value}\n")
+    assert main(["el", "--config", str(p), "--assert", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: config key {key!r} must be >= 0, got {value}\n"
+
+
+def test_el_empty_coeffs_is_config_error(tmp_path, capsys):
+    p = tmp_path / "empty.cfg"
+    p.write_text("el.coeffs =\n")
+    assert main(["el", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error: config key 'el.coeffs' has no numbers" in captured.err
+
+
 # -------------------------------------------------------------- connection --
 
 
@@ -275,6 +300,14 @@ def test_solve_eigenfunction_config(tmp_path):
     assert header == ["t", "x1"]
     exact = mittag_leffler(0.5, 1.0)
     assert abs(rows[-1, 1] - exact) < 5e-3
+
+
+def test_solve_empty_x0_is_config_error(tmp_path, capsys):
+    p = tmp_path / "s.cfg"
+    p.write_text("solve.alpha = 0.5\nsolve.h = 0.1\nsolve.t_end = 1.0\nsolve.x0 =\n")
+    assert main(["solve", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error: config key 'solve.x0' has no numbers" in captured.err
 
 
 def test_solve_bad_rhs_is_config_error(tmp_path):

@@ -12,7 +12,7 @@ from fracosc.bundle import (
     PrimalCoefficients,
 )
 from fracosc.connection import MetricField, MetricalConnection, _nabla_g_norm, sasaki_lift
-from fracosc.errors import DomainError
+from fracosc.errors import DomainError, SingularityError
 from fracosc.expr import evaluate, parse, to_str
 from fracosc.specfun import gamma
 
@@ -78,6 +78,12 @@ def test_metric_shared_storage_and_symmetry():
 def test_metric_shape_validation():
     with pytest.raises(DomainError):
         MetricField.from_matrix(SPEC22, ((parse("1.0"),),))
+
+
+def test_singular_metric_raises_singularity_error():
+    zero = MetricField.from_matrix(SPEC22, ((parse("0"), parse("0")), (parse("0"), parse("0"))))
+    with pytest.raises(SingularityError, match="singular"):
+        zero.inverse_at({})
 
 
 def test_delta_x_reduces_to_fractional_partial_for_zero_primal():

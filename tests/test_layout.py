@@ -1,8 +1,8 @@
 """Module boundaries of the package: no module reaches into another's
 private names, only ``expr`` evaluates an Expr inside a loop, only
 ``geometry.jet_var`` spells a jet-coordinate name, only ``specfun`` calls
-the gamma functions of ``math``, and only ``expr`` expands a constant into
-a term sum to scale by it."""
+the gamma functions of ``math``, only ``expr`` expands a constant into a
+term sum to scale by it, and only ``expr`` turns a partial into its terms."""
 
 import ast
 import re
@@ -118,5 +118,20 @@ def test_only_expr_expands_a_constant_to_scale_terms():
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if _called(node, "expand_terms") and any(_called(a, "Num") for a in node.args):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_expr_turns_a_partial_into_terms():
+    # the partial of every term builder has one owner: expr.partial_terms
+    pairs = {("fold_terms", "frac_partial_terms"), ("expand_terms", "classical_partial"),
+             ("normalize_terms", "classical_partial")}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if any(_called(node, outer) and any(_called(a, inner) for a in node.args)
+                   for outer, inner in pairs):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []

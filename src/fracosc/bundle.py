@@ -133,12 +133,6 @@ class BundleSpec:
         """Names at slot level 0..k (level 0 = base coordinates)."""
         return tuple(jet_var(i, level) for i in range(self.n))
 
-    def x_names(self) -> tuple[str, ...]:
-        return self.level_names(0)
-
-    def y_names(self, level: int) -> tuple[str, ...]:
-        return self.level_names(level)
-
     def all_names(self, upto: int | None = None) -> tuple[str, ...]:
         """Names at levels 0..upto (default k) in slot order."""
         upto = self.k if upto is None else upto
@@ -256,7 +250,7 @@ def liouville_field(spec: BundleSpec, a: int) -> BundleField:
         w = rung_weight(spec.alpha, b)
         slot = spec.k - a + b
         levels[slot] = tuple(
-            simplify(Mul(Num(w), Var(name))) for name in spec.y_names(b)
+            simplify(Mul(Num(w), Var(name))) for name in spec.level_names(b)
         )
     return BundleField(spec, tuple(levels))
 
@@ -347,7 +341,7 @@ class _Prolongation:
         """The entries of the weighted Jacobian blocks Jx, Jyx and Jyy of a
         k = 1 prolongation at a point, row by row."""
         spec = self.spec
-        xs, ys = spec.x_names(), spec.y_names(1)
+        xs, ys = spec.level_names(0), spec.level_names(1)
         base, fibre = self.levels
         return compile_exprs([
             e for comps, names in ((base, xs), (fibre, xs), (fibre, ys))
@@ -424,6 +418,12 @@ class _Coefficients:
         return self.mats[b - 1]
 
     @cached_property
+    def terms(self) -> tuple:
+        """``terms[b - 1][i][j]`` is what expanding entry (i, j) of order b gives."""
+        return tuple(tuple(tuple(expand_terms(e) for e in row) for row in mat)
+                     for mat in self.mats)
+
+    @cached_property
     def _compiled(self):
         return compile_exprs([e for mat in self.mats for row in mat for e in row])
 
@@ -457,9 +457,8 @@ def _fold_matrix(mat) -> tuple[tuple, list]:
 
 def _triangular(given, n: int, sign: float, built_left: bool) -> tuple:
     """Levels d = 1..k of X^{(d)} = Y^{(d)} + sign sum_{f<d} A^{(d-f)} B^{(f)}
-    for the given levels Y, where (A, B) = (X, Y) when ``built_left`` and
-    (Y, X) otherwise."""
-    given = [[[expand_terms(e) for e in row] for row in mat] for mat in given]
+    for the given levels Y, as term sums, where (A, B) = (X, Y) when
+    ``built_left`` and (Y, X) otherwise."""
     exprs: list = []
     built: list = []
     for d in range(1, len(given) + 1):
@@ -478,12 +477,12 @@ def _triangular(given, n: int, sign: float, built_left: bool) -> tuple:
 
 def primal_to_dual(N: PrimalCoefficients) -> DualCoefficients:
     """M^{(d)} = N^{(d)} + sum_{f=1}^{d-1} M^{(d-f)} N^{(f)} (exact)."""
-    return DualCoefficients(N.spec, _triangular(N.mats, N.spec.n, 1.0, True))
+    return DualCoefficients(N.spec, _triangular(N.terms, N.spec.n, 1.0, True))
 
 
 def dual_to_primal(M: DualCoefficients) -> PrimalCoefficients:
     """Inverse of :func:`primal_to_dual`; exact by structural cancellation."""
-    return PrimalCoefficients(M.spec, _triangular(M.mats, M.spec.n, -1.0, False))
+    return PrimalCoefficients(M.spec, _triangular(M.terms, M.spec.n, -1.0, False))
 
 
 def adapted_frame(spec: BundleSpec, N: PrimalCoefficients, env: dict[str, float]) -> np.ndarray:

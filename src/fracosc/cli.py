@@ -110,8 +110,8 @@ def _finite(text: str) -> float:
     return value
 
 
-#: the most points a grid may have, checked before allocating: 10^7 points
-#: are 80 MB a float64 column and about 0.4 GB of CSV text
+#: the most points a grid, or steps a solve, may have, checked before
+#: allocating: 10^7 points are 80 MB a float64 column and about 0.4 GB of CSV text
 MAX_GRID_POINTS = 10**7
 
 
@@ -207,15 +207,14 @@ def _el_reference(cfg, sha, tol, out) -> int:
     prob, kind = _reference_problem(cfg)
     samples = get_int(cfg, "el.samples", 25)
     seed = get_int(cfg, "el.seed", 7)
-    for key, value in (("el.samples", samples), ("el.seed", seed)):
-        if value < 0:
-            raise ParseError(f"config key {key!r} must be >= 0, got {value}")
+    for key, value, least in (("el.samples", samples, 1), ("el.seed", seed, 0)):
+        if value < least:
+            raise ParseError(f"config key {key!r} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
-    prob.residual  # built up front, so a bad Lagrangian fails even with no samples
     names = prob.spec.all_names(prob.spec.k + 1)
     residuals = [reference_residual(prob, {name: rng.uniform(0.5, 2.0) for name in names})
                  for _ in range(samples)]
-    worst = float(np.max(residuals, initial=0.0))  # NaN, if any, propagates
+    worst = float(np.max(residuals))  # NaN, if any, propagates
     payload = {
         "tool": "fracosc",
         "version": __version__,
@@ -281,12 +280,9 @@ def cmd_connection(args) -> int:
     G = tuple(parse(get_str(cfg, f"spray.{i + 1}")) for i in range(n))
     dual = spray_to_dual(spec, G)
     primal = dual_to_primal(dual)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            e = parse(get_str(cfg, f"metric.{i + 1}.{j + 1}"))
-            rows[i][j] = rows[j][i] = e
-    metric = MetricField.from_matrix(spec, tuple(tuple(r) for r in rows))
+    metric = MetricField(spec, tuple(
+        tuple(parse(get_str(cfg, f"metric.{i + 1}.{j + 1}")) for j in range(i, n))
+        for i in range(n)))
     env = {}
     for name in spec.all_names():
         env[name] = get_float(cfg, f"point.{name}")
@@ -329,6 +325,8 @@ def cmd_solve(args) -> int:
     alpha = get_float(cfg, "solve.alpha")
     h = get_float(cfg, "solve.h")
     t_end = get_float(cfg, "solve.t_end")
+    if h > 0 and t_end / h > MAX_GRID_POINTS:  # one CSV row per step
+        raise ParseError(f"solve has more than {MAX_GRID_POINTS} steps: t_end={t_end!r}, h={h!r}")
     x0 = np.array(get_floats(cfg, "solve.x0"))
     n = len(x0)
     f = compile_exprs([parse(get_str(cfg, f"solve.rhs.{i + 1}")) for i in range(n)])

@@ -42,7 +42,6 @@ from .expr import (
     Term,
     collect_terms,
     compile_exprs,
-    expand_terms,
     multiply_terms,
     negate_terms,
     normal_form,
@@ -156,12 +155,6 @@ class MetricalConnection:
             raise DomainError(f"fibre level must be in 1..{self.spec.k}, got {a}")
         return terms_to_expr(self._delta(normalize_terms(f), i, a))
 
-    @cached_property
-    def _primal_terms(self) -> tuple:
-        """The expanded primal coefficients, [b - 1][m][i] for N^{(b)m}_i."""
-        return tuple(tuple(tuple(expand_terms(e) for e in row) for row in mat)
-                     for mat in self.primal.mats)
-
     def _delta(self, f: tuple[Term, ...], i: int, a: int) -> tuple[Term, ...]:
         """Collected terms of D_{(a)i} f - sum_{b,m} N^{(b)m}_i D_{(a+b)m} f
         for f given by its collected terms: the derivation along the base
@@ -171,7 +164,7 @@ class MetricalConnection:
         for b in range(1, spec.k - a + 1):
             for m in range(spec.n):
                 d = partial_terms(f, jet_var(m, a + b), spec.alpha)
-                out += negate_terms(multiply_terms(self._primal_terms[b - 1][m][i], d))
+                out += negate_terms(multiply_terms(self.primal.terms[b - 1][m][i], d))
         return collect_terms(out)
 
     # -- coefficients at a point ----------------------------------------------

@@ -63,7 +63,7 @@ __all__ = [
     "Term", "expand_terms", "collect_terms", "normalize_terms", "terms_to_expr",
     "fold_terms", "multiply_terms", "scale_terms", "negate_terms", "normal_form",
     "term_frac_partial", "frac_partial_terms", "frac_partial", "classical_partial",
-    "frac_partial_at", "is_monomial_in", "partial_terms",
+    "frac_partial_at", "FALLBACK_STEP", "is_monomial_in", "partial_terms",
 ]
 
 # --------------------------------------------------------------------- AST --
@@ -863,13 +863,16 @@ def is_monomial_in(e: Expr, var: str) -> bool:
     return True
 
 
-def frac_partial_at(e: Expr, var: str, alpha: float, env: dict[str, float],
-                    h: float = 1e-4) -> float:
+#: the step of the Grunwald-Letnikov fallback of :func:`frac_partial_at`
+FALLBACK_STEP = 1e-4
+
+
+def frac_partial_at(e: Expr, var: str, alpha: float, env: dict[str, float]) -> float:
     """Fractional partial evaluated at a point.
 
     Symbolic path when available; otherwise a Grunwald-Letnikov fallback
-    along the ``var`` axis from 0 to env[var] with step ~h (the reviewed
-    convention is honored by differencing f - f(axis origin))."""
+    along the ``var`` axis from 0 to env[var] with step ~FALLBACK_STEP (the
+    reviewed convention is honored by differencing f - f(axis origin))."""
     try:
         return evaluate(frac_partial(e, var, alpha), env)
     except DomainError:
@@ -881,7 +884,7 @@ def frac_partial_at(e: Expr, var: str, alpha: float, env: dict[str, float],
     T = env[var]
     if T <= 0:
         raise DomainError(f"numeric fractional partial needs {var!r} > 0 at the point")
-    n = max(8, int(round(T / h)))
+    n = max(8, int(round(T / FALLBACK_STEP)))
     f = compile_exprs((e,))
     vals = []
     scratch = dict(env)

@@ -233,7 +233,7 @@ def jacobian_identity_residual(
     return float(np.max(np.abs(prod - np.eye(forward.n))))
 
 
-def require_invertible(matrix: np.ndarray, what: str = "matrix") -> np.ndarray:
+def require_invertible(matrix: np.ndarray, what: str) -> np.ndarray:
     """Inverse with a package-taxonomy error instead of LinAlgError."""
     try:
         return np.linalg.inv(matrix)

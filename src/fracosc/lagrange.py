@@ -235,13 +235,13 @@ def covector_gap(
 # ------------------------------------------------------------ spray extraction --
 
 
-def extract_spray(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Expr, ...]:
-    """Solve E_i = 0 for the overshoot variables y^{i(k+1)}.
+def extract_spray(spec: BundleSpec, L: Expr) -> tuple[Expr, ...]:
+    """Solve the fractional E_i = 0 for the overshoot variables y^{i(k+1)}.
 
     Requires the overshoot coupling to be diagonal and structurally nonzero
     (true for fibre-decoupled polynomial Lagrangians); returns the solved
     expressions."""
-    E = el_residual(spec, L, mode)
+    E = el_residual(spec, L)
     out = []
     for i in range(spec.n):
         for j in range(spec.n):
@@ -474,21 +474,15 @@ def prolong_riemann(spec: BundleSpec, rows, inverse_rows=None) -> Prolongation:
     return canonical_prolongation(spec, rows, inverse_rows)
 
 
-def prolong_finsler(spec: BundleSpec, energy: Expr, inverse_rows=None) -> Prolongation:
+def prolong_finsler(spec: BundleSpec, energy: Expr) -> Prolongation:
     """Prolongation of an energy function via its fractional fibre Hessian."""
-    return canonical_prolongation(
-        spec, fundamental_tensor(spec, energy, "fractional"), inverse_rows
-    )
+    return canonical_prolongation(spec, fundamental_tensor(spec, energy, "fractional"))
 
 
-def prolong_lagrange(
-    spec: BundleSpec, L: Expr, semantics: str = "hybrid", inverse_rows=None
-) -> Prolongation:
+def prolong_lagrange(spec: BundleSpec, L: Expr, semantics: str = "hybrid") -> Prolongation:
     """Prolongation of a Lagrangian; ``semantics="hybrid"`` (default) reads
     the fibre Hessian classically, ``"fractional"`` matches prolong_finsler."""
     kind = {"hybrid": "classical", "fractional": "fractional"}.get(semantics)
     if kind is None:
         raise DomainError(f"unknown prolongation semantics {semantics!r}")
-    return canonical_prolongation(
-        spec, fundamental_tensor(spec, L, kind), inverse_rows
-    )
+    return canonical_prolongation(spec, fundamental_tensor(spec, L, kind))

@@ -60,6 +60,8 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     stable for all real alpha and the form every GL scheme consumes.
     The weights of order alpha-1 are the partial sums of those of order alpha.
     """
+    if n < 0:
+        raise DomainError(f"need n >= 0 weights past w_0, got {n}")
     w = np.empty(n + 1)
     w[:1] = 1.0
     # cumprod multiplies in the order of the recursion, so it is bitwise equal
@@ -153,8 +155,8 @@ def int_by_parts_residual(f1, f2, alpha: float, b: float, n: int) -> float:
 
     f1, f2: FracSeries instances.
     """
-    if b <= 0:
-        raise DomainError(f"need b > 0, got {b}")
+    if b <= 0 or n < 1:
+        raise DomainError(f"need b > 0 and n >= 1, got b={b}, n={n}")
     if f2.coefficient_at(0.0) != 0.0:
         raise DomainError("f2 must vanish at 0 (no constant term)")
     if abs(f1(b)) > 1e-10 * max(1.0, max((abs(c) for c, _ in f1.terms), default=0.0)):

@@ -195,11 +195,9 @@ def frac_derive_iterated(f: FracSeries, alpha: float, times: int) -> FracSeries:
     return f
 
 
-def classical_derive(f: FracSeries, times: int = 1) -> FracSeries:
-    """Ordinary derivative d/dt applied ``times`` times (exact on powers)."""
-    for _ in range(times):
-        f = FracSeries([(c * e, e - 1.0) for c, e in f.terms if e != 0.0])
-    return f
+def classical_derive(f: FracSeries) -> FracSeries:
+    """Ordinary derivative d/dt (exact on powers)."""
+    return FracSeries([(c * e, e - 1.0) for c, e in f.terms if e != 0.0])
 
 
 def semigroup_residual(f: FracSeries, alpha: float, beta: float) -> float:

@@ -200,7 +200,7 @@ def jet_transform(cm, spec):
                 source_names = spec.level_names(b - 1)
                 Jrow = weighted_jacobian_exprs((prev[i],), source_names, alpha)[0]
                 for j in range(spec.n):
-                    y_b = Var(spec.y_names(b)[j])
+                    y_b = Var(spec.level_names(b)[j])
                     acc = Add(acc, Mul(Num(w_b / w_a), Mul(Jrow[j], y_b)))
             comps.append(simplify(acc))
         levels.append(tuple(comps))

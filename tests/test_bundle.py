@@ -51,16 +51,16 @@ def _jet(rng, n, levels, lo=0.5, hi=2.0):
 
 def test_spec_names():
     spec = BundleSpec(2, 3, 0.3)
-    assert spec.x_names() == ("x1", "x2")
-    assert spec.y_names(2) == ("y1_2", "y2_2")
+    assert spec.level_names(0) == ("x1", "x2")
+    assert spec.level_names(2) == ("y1_2", "y2_2")
     assert spec.all_names() == (
         "x1", "x2", "y1_1", "y2_1", "y1_2", "y2_2", "y1_3", "y2_3",
     )
     assert spec.dim == 8
     # one naming function; slot a*n + i holds coordinate i at level a
     assert lagrange.jet_var is jet_var
-    assert base_vars(2) == spec.level_names(0) == spec.x_names()
-    assert spec.level_names(3) == spec.y_names(3) == ("y1_3", "y2_3")
+    assert base_vars(2) == spec.level_names(0)
+    assert spec.level_names(3) == ("y1_3", "y2_3")
     assert spec.all_names(4)[-2:] == (jet_var(0, 4), jet_var(1, 4)) == ("y1_4", "y2_4")
     jp = JetPoint((1.0, 2.0), ((3.0, 4.0), (5.0, 6.0), (7.0, 8.0), (9.0, 10.0)))
     assert list(jp.env()) == list(spec.all_names(4))

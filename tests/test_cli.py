@@ -252,15 +252,17 @@ def test_el_bad_mode_is_config_error(tmp_path):
     assert main(["el", "--config", str(p)]) == 1
 
 
-@pytest.mark.parametrize("key,value", [("el.samples", "-5"), ("el.seed", "-1")])
+@pytest.mark.parametrize("key,value", [("el.samples", "-5"), ("el.seed", "-1"),
+                                       ("el.samples", "0")])
 def test_el_reference_negative_counts_are_config_errors(key, value, tmp_path, capsys):
-    # a negative sample count used to pass any assertion without checking anything
+    # a sample count below one used to pass any assertion without checking anything
     p = tmp_path / "neg.cfg"
     p.write_text(f"{key} = {value}\n")
     assert main(["el", "--config", str(p), "--assert", "1e-300"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"config error: config key {key!r} must be >= 0, got {value}\n"
+    least = 1 if key == "el.samples" else 0
+    assert captured.err == f"config error: config key {key!r} must be >= {least}, got {value}\n"
 
 
 def test_el_empty_coeffs_is_config_error(tmp_path, capsys):
@@ -350,6 +352,18 @@ def test_grids_with_too_many_points_are_config_errors(grid, tmp_path, capsys):
     assert main(["el", "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("grid has more than 10000000 points") == 2
+
+
+@pytest.mark.parametrize("t_end,h", [("1.0", "1e-13"), ("1e308", "1e-308")])
+def test_solves_with_too_many_steps_are_config_errors(t_end, h, tmp_path, capsys):
+    # the step count is checked before the trajectory is allocated
+    p = tmp_path / "s.cfg"
+    p.write_text(f"solve.alpha = 0.5\nsolve.h = {h}\nsolve.t_end = {t_end}\n"
+                 "solve.x0 = 1.0\nsolve.rhs.1 = x1\n")
+    assert main(["solve", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(
+        "config error: solve has more than 10000000 steps")
 
 
 def _curve_config(tmp_path, lagrangian, curve):

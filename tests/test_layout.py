@@ -2,7 +2,8 @@
 private names, only ``expr`` evaluates an Expr inside a loop, only
 ``geometry.jet_var`` spells a jet-coordinate name, only ``specfun`` calls
 the gamma functions of ``math``, only ``expr`` expands a constant into a
-term sum to scale by it, and only ``expr`` turns a partial into its terms."""
+term sum to scale by it, only ``expr`` turns a partial into its terms, and
+every defaulted parameter is passed by some call."""
 
 import ast
 import re
@@ -134,4 +135,43 @@ def test_only_expr_turns_a_partial_into_terms():
             if any(_called(node, outer) and any(_called(a, inner) for a in node.args)
                    for outer, inner in pairs):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _defaulted(tree):
+    """(called name, parameter, call position) of each defaulted parameter:
+    a method's ``self`` shifts positions by one, and ``__init__`` is called
+    by its class name; keyword-only parameters have no position."""
+    for owner in ast.walk(tree):
+        for fn in ast.iter_child_nodes(owner):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            method = isinstance(owner, ast.ClassDef) and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            name = owner.name if method and fn.name == "__init__" else fn.name
+            args = fn.args.posonlyargs + fn.args.args
+            for i in range(len(args) - len(fn.args.defaults), len(args)):
+                yield name, args[i].arg, i - int(method)
+            for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, a.arg, None
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant spelled as an option;
+    # calls are matched by name, and *args or **kwargs pass everything
+    passed = set()
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted(p for d in ("src", "scripts", "perfbench", "tests")
+                       for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                passed |= {(name, i) for i in range(len(node.args))}
+                passed |= {(name, k.arg or "*") for k in node.keywords}
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    passed.add((name, "*"))
+    offenders = [f"{path.name}: {name}({param})" for path in sorted(PACKAGE.glob("*.py"))
+                 for name, param, pos in _defaulted(ast.parse(path.read_text(encoding="utf-8")))
+                 if not {(name, param), (name, pos), (name, "*")} & passed]
     assert offenders == []

@@ -42,6 +42,11 @@ def test_gl_weights_equal_the_recursion_bitwise(alpha):
     assert np.array_equal(gl_weights(alpha, n), ref)
 
 
+def test_gl_weights_reject_a_negative_count():
+    with pytest.raises(DomainError, match="n >= 0"):
+        gl_weights(0.5, -3)
+
+
 def test_gl_weights_partial_sums_positive():
     # sum_{j<=n} w_j = C(alpha-1, n)*(-1)^n > 0 for 0<alpha<1
     w = gl_weights(0.5, 60)
@@ -138,6 +143,13 @@ def test_int_by_parts_preconditions():
         int_by_parts_residual(good_f1, FracSeries([(1.0, 0.0), (1.0, 1.0)]), 0.5, 1.0, 50)
     with pytest.raises(DomainError):  # f1 does not vanish at b
         int_by_parts_residual(FracSeries([(1.0, 2.0)]), good_f2, 0.5, 1.0, 50)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_int_by_parts_residual_needs_a_grid_interval(n):
+    good_f1 = FracSeries([(1.0, 0.7), (-1.0, 2.0)])
+    with pytest.raises(DomainError, match="n >= 1"):
+        int_by_parts_residual(good_f1, FracSeries([(1.0, 1.3)]), 0.5, 1.0, n)
 
 
 # ------------------------------------------------------------------- solver

@@ -296,17 +296,19 @@ def _spray_terms(spec: BundleSpec, G_terms, f: Expr, f_terms) -> list[Term]:
     """The terms of S(f), uncollected, for G given by its expanded entries
     and f by its Expr and its collected terms."""
     alpha, n, k = spec.alpha, spec.n, spec.k
+    # partials along level b - 1 for the rung b; the classical ones, along
+    # the fibre levels 1..k, are taken in one pass
+    rungs = partial_terms(f_terms, spec.level_names(0), alpha)
+    rungs += partial_terms(f, spec.all_names()[n:], None)
     out = []
     for b in range(1, k + 1):
         w = rung_weight(alpha, b)
-        src, order = (f_terms, alpha) if b == 1 else (f, None)
         for h in range(n):
-            d = partial_terms(src, jet_var(h, b - 1), order)
+            d = rungs[(b - 1) * n + h]
             out += multiply_terms(scale_terms(w, expand_terms(Var(jet_var(h, b)))), d)
     wk = -rung_weight(alpha, k)
     for h in range(n):
-        d = partial_terms(f, jet_var(h, k), None)
-        out += multiply_terms(scale_terms(wk, G_terms[h]), d)
+        out += multiply_terms(scale_terms(wk, G_terms[h]), rungs[k * n + h])
     return out
 
 
@@ -529,7 +531,7 @@ def spray_to_dual(spec: BundleSpec, G: tuple[Expr, ...]) -> DualCoefficients:
     the fibres)."""
     n, alpha = spec.n, spec.alpha
     M1, M1_terms = _fold_matrix([
-        [collect_terms(partial_terms(G[i], jet_var(j, 1), None)) for j in range(n)]
+        [collect_terms(d) for d in partial_terms(G[i], spec.level_names(1), None)]
         for i in range(n)])
     mats, prev = [M1], M1_terms
     G_terms = [expand_terms(g) for g in G] if spec.k > 1 else []  # S runs for k > 1 only

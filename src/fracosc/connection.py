@@ -160,11 +160,12 @@ class MetricalConnection:
         for f given by its collected terms: the derivation along the base
         direction i when a = 0, along y^{i(a)} otherwise."""
         spec = self.spec
-        out = partial_terms(f, jet_var(i, a), spec.alpha)
-        for b in range(1, spec.k - a + 1):
-            for m in range(spec.n):
-                d = partial_terms(f, jet_var(m, a + b), spec.alpha)
-                out += negate_terms(multiply_terms(self.primal.terms[b - 1][m][i], d))
+        names = [jet_var(i, a)] + [
+            jet_var(m, a + b) for b in range(1, spec.k - a + 1) for m in range(spec.n)]
+        out, *rest = partial_terms(f, names, spec.alpha)
+        for r, d in enumerate(rest):
+            b, m = divmod(r, spec.n)  # d is the partial along y^{m(a+b+1)}
+            out += negate_terms(multiply_terms(self.primal.terms[b][m][i], d))
         return collect_terms(out)
 
     # -- coefficients at a point ----------------------------------------------
@@ -193,6 +194,9 @@ class MetricalConnection:
         fibre level; Dg is symmetric in (s, l)."""
         n = self.spec.n
         values = self._compiled(env)
+        if not np.isfinite(values).all():  # an inf entry would print NaN coefficients
+            raise DomainError(
+                "metric or its adapted derivatives not finite at the evaluation point")
         pos = n * (n + 1) // 2
         g = _symmetric(values[:pos], n)
         out = []

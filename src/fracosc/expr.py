@@ -39,6 +39,11 @@ each, and run at each point (an evaluation procedure over the computational
 graph, Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 2).
 :func:`evaluate` is its one-point call.
 
+Classical partials of one Expr along several variables are one pass of
+:func:`classical_partials` (vector mode, ibid., ch. 3): it costs one walk
+over the shared DAG plus, per variable, the distinct nodes that contain it.
+:func:`classical_partial` is its one-variable call.
+
 The fractional partial derivative along ``var`` follows the reviewed
 power-rule convention: terms free of ``var`` are annihilated, exponents in
 (0, alpha) are inadmissible (DomainError), and ``v^alpha -> Gamma(1+alpha)``.
@@ -63,7 +68,8 @@ __all__ = [
     "Term", "expand_terms", "collect_terms", "normalize_terms", "terms_to_expr",
     "fold_terms", "multiply_terms", "scale_terms", "negate_terms", "normal_form",
     "term_frac_partial", "frac_partial_terms", "frac_partial", "classical_partial",
-    "frac_partial_at", "FALLBACK_STEP", "is_monomial_in", "partial_terms",
+    "classical_partials", "frac_partial_at", "FALLBACK_STEP", "is_monomial_in",
+    "partial_terms",
 ]
 
 # --------------------------------------------------------------------- AST --
@@ -897,60 +903,109 @@ def frac_partial_at(e: Expr, var: str, alpha: float, env: dict[str, float]) -> f
 
 
 def classical_partial(e: Expr, var: str) -> Expr:
-    """Ordinary symbolic partial derivative. Function calls must not contain
-    ``var`` (their derivatives are outside this small language).
+    """Ordinary symbolic partial derivative: the one-variable call of
+    :func:`classical_partials`. Code that differentiates the same Expr along
+    several variables passes them all at once."""
+    return classical_partials(e, (var,))[0]
 
-    The result is simplified. Each distinct node of ``e`` is differentiated
-    and simplified once, so the cost is linear in the size of the shared
-    expression DAG; the left operand is differentiated before the right."""
+
+def classical_partials(e: Expr, names: Sequence[str]) -> tuple[Expr, ...]:
+    """The ordinary symbolic partial derivatives of ``e`` along each of
+    ``names``, simplified. Function calls must not contain a differentiated
+    variable (their derivatives are outside this small language); the first
+    such call, in the order of ``names`` and then left before right, raises
+    DomainError.
+
+    One pass over the shared expression DAG serves every name (vector mode,
+    Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 3): the simplified
+    operands, the set of names in each node, and the derivative of each
+    subtree free of the variable are built once. That derivative comes from
+    the same rules taken along a variable that occurs nowhere, not from a
+    literal zero, because its signed zeros depend on the structure
+    (``-0.0`` is the derivative of ``Neg(Num(0.0))``). Per name, only the
+    nodes that contain it are differentiated again, each once."""
+    names = tuple(names)
+    bits = {name: 1 << i for i, name in enumerate(names)}
     step = simplify_node  # one rewrite at the root
-    derivs: dict = {}  # id(node) -> (node, derivative)
     operands: dict = {}  # the simplify memo for operands copied into products
+    masks: dict = {}  # id(node) -> bits of the names in it; ``e`` keeps every node alive
 
-    def d(x: Expr) -> Expr:
-        hit = derivs.get(id(x))
-        if hit is not None:
-            return hit[1]
-        if isinstance(x, Num):
-            out: Expr = Num(0.0)
-        elif isinstance(x, Var):
-            out = Num(1.0 if x.name == var else 0.0)
-        elif isinstance(x, Call):
-            if var in free_vars(x):
-                raise DomainError(
-                    f"classical_partial cannot differentiate through {x.fn}(...) in {var!r}")
-            out = Num(0.0)
-        elif isinstance(x, Neg):
-            out = step(Neg(d(x.arg)))
-        elif isinstance(x, Add):
-            out = step(Add(d(x.left), d(x.right)))
-        elif isinstance(x, Sub):
-            out = step(Sub(d(x.left), d(x.right)))
-        elif isinstance(x, (Mul, Div)):
-            dl, dr = d(x.left), d(x.right)
-            left, right = _simplify(x.left, operands), _simplify(x.right, operands)
-            if isinstance(x, Mul):
-                out = step(Add(step(Mul(dl, right)), step(Mul(left, dr))))
+    def mask(x: Expr) -> int:
+        m = masks.get(id(x))
+        if m is None:
+            if isinstance(x, Var):
+                m = bits.get(x.name, 0)
+            elif isinstance(x, Num):
+                m = 0
+            elif isinstance(x, Call):
+                m = 0
+                for a in x.args:
+                    m |= mask(a)
+            elif isinstance(x, Neg):
+                m = mask(x.arg)
+            elif isinstance(x, Pow):
+                m = mask(x.base)
             else:
-                num = step(Sub(step(Mul(dl, right)), step(Mul(left, dr))))
-                out = step(Div(num, step(Pow(right, 2.0))))
-        elif isinstance(x, Pow):
-            inner = d(x.base)
-            base = _simplify(x.base, operands)
-            scale = step(Mul(Num(x.exponent), step(Pow(base, x.exponent - 1.0))))
-            out = step(Mul(scale, inner))
-        else:
-            raise TypeError(f"not an Expr: {x!r}")
-        derivs[id(x)] = (x, out)
-        return out
+                m = mask(x.left) | mask(x.right)
+            masks[id(x)] = m
+        return m
 
-    return d(e)
+    def along(var: str | None, bit: int, free: Callable[[Expr], Expr] | None):
+        """The derivative along ``var``; ``free``, when given, differentiates
+        the subtrees that do not contain it."""
+        derivs: dict = {}  # id(node) -> derivative
+
+        def d(x: Expr) -> Expr:
+            hit = derivs.get(id(x))
+            if hit is not None:
+                return hit
+            if free is not None and not mask(x) & bit:
+                out: Expr = free(x)
+            elif isinstance(x, Num):
+                out = Num(0.0)
+            elif isinstance(x, Var):
+                out = Num(1.0 if x.name == var else 0.0)
+            elif isinstance(x, Call):
+                if mask(x) & bit:
+                    raise DomainError(
+                        f"classical_partial cannot differentiate through {x.fn}(...) in {var!r}")
+                out = Num(0.0)
+            elif isinstance(x, Neg):
+                out = step(Neg(d(x.arg)))
+            elif isinstance(x, Add):
+                out = step(Add(d(x.left), d(x.right)))
+            elif isinstance(x, Sub):
+                out = step(Sub(d(x.left), d(x.right)))
+            elif isinstance(x, (Mul, Div)):
+                dl, dr = d(x.left), d(x.right)
+                left, right = _simplify(x.left, operands), _simplify(x.right, operands)
+                if isinstance(x, Mul):
+                    out = step(Add(step(Mul(dl, right)), step(Mul(left, dr))))
+                else:
+                    num = step(Sub(step(Mul(dl, right)), step(Mul(left, dr))))
+                    out = step(Div(num, step(Pow(right, 2.0))))
+            elif isinstance(x, Pow):
+                inner = d(x.base)
+                base = _simplify(x.base, operands)
+                scale = step(Mul(Num(x.exponent), step(Pow(base, x.exponent - 1.0))))
+                out = step(Mul(scale, inner))
+            else:
+                raise TypeError(f"not an Expr: {x!r}")
+            derivs[id(x)] = out
+            return out
+
+        return d
+
+    # with one name nothing is shared, and testing each node would only cost
+    nowhere = along(None, 0, None) if len(names) > 1 else None
+    return tuple(along(var, bits[var], nowhere)(e) for var in names)
 
 
-def partial_terms(f, var: str, order: float | None) -> list[Term]:
-    """The terms that expanding a partial's Expr gives: the reviewed
-    order-``order`` partial of the collected terms ``f``, or for
-    ``order=None`` the classical partial of the Expr ``f``."""
+def partial_terms(f, names: Sequence[str], order: float | None) -> list[list[Term]]:
+    """The terms that expanding each partial's Expr gives, one list per name
+    of ``names``: the reviewed order-``order`` partials of the collected
+    terms ``f``, or for ``order=None`` the classical partials of the Expr
+    ``f``, taken in one pass of :func:`classical_partials`."""
     if order is None:
-        return expand_terms(classical_partial(f, var))
-    return fold_terms(frac_partial_terms(f, var, order))
+        return [expand_terms(d) for d in classical_partials(f, names)]
+    return [fold_terms(frac_partial_terms(f, var, order)) for var in names]

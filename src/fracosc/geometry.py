@@ -44,7 +44,7 @@ from .expr import (
     Pow,
     Term,
     Var,
-    classical_partial,
+    classical_partials,
     collect_terms,
     compile_exprs,
     frac_partial_terms,
@@ -144,14 +144,14 @@ def weighted_jacobian_exprs(
 
     Works for any expressions whose classical partials exist in the language;
     fractional weights make sense on the positive orthant only. Entries are
-    simplified; each component is simplified once.
+    simplified; each component is simplified once and differentiated along
+    every source variable in one pass of :func:`classical_partials`.
     """
     out: list[list[Expr]] = []
     for comp in components:
         weight = simplify_node(Pow(simplify(comp), alpha - 1.0))
         row = []
-        for v in source_vars:
-            d = classical_partial(comp, v)
+        for v, d in zip(source_vars, classical_partials(comp, source_vars)):
             scaled = simplify_node(Mul(weight, d))
             row.append(simplify_node(Mul(scaled, simplify_node(Pow(Var(v), 1.0 - alpha)))))
         out.append(row)

@@ -77,7 +77,7 @@ from .expr import (
     Sub,
     Term,
     Var,
-    classical_partial,
+    classical_partials,
     collect_terms,
     compile_exprs,
     expand_terms,
@@ -133,11 +133,11 @@ def _source(f: Expr, order):
     return f if order is None else normalize_terms(f)
 
 
-def _derive(f, var: str, order):
-    """The partial of ``f`` along ``var``, again in :func:`_source` form."""
+def _derive(f, names, order):
+    """The partials of ``f`` along ``names``, again in :func:`_source` form."""
     if order is None:
-        return classical_partial(f, var)
-    return collect_terms(partial_terms(f, var, order))
+        return classical_partials(f, names)
+    return [collect_terms(d) for d in partial_terms(f, names, order)]
 
 
 def _sum(terms) -> Expr:
@@ -146,19 +146,16 @@ def _sum(terms) -> Expr:
 
 def _jet_terms(spec: BundleSpec, f, order, levels: int | None = None) -> tuple[Term, ...]:
     """Collected terms of d_t f for f in :func:`_source` form."""
-    levels = spec.k + 1 if levels is None else levels
+    names = spec.all_names(spec.k + 1 if levels is None else levels)
     out = []
-    for b in range(1, levels + 1):
-        for i in range(spec.n):
-            d = partial_terms(f, jet_var(i, b - 1), order)
-            out += multiply_terms(expand_terms(Var(jet_var(i, b))), d)
+    # the partial along the coordinate of slot r pairs with the one of slot r + n
+    for r, d in enumerate(partial_terms(f, names[:-spec.n], order)):
+        out += multiply_terms(expand_terms(Var(names[r + spec.n])), d)
     return collect_terms(out)
 
 
-def _dragged(spec: BundleSpec, L, i: int, a: int, order,
-             levels: int | None = None) -> list[Term]:
-    """The terms of d_t(d_{y^{i(a)}} L) for L in :func:`_source` form."""
-    inner = _derive(L, jet_var(i, a), order)
+def _dragged(spec: BundleSpec, inner, order, levels: int | None = None) -> list[Term]:
+    """The terms of d_t(inner) for inner = d_{y^{i(a)}} L in :func:`_source` form."""
     return fold_terms(_jet_terms(spec, inner, order, levels))
 
 
@@ -173,11 +170,14 @@ def _ladder(spec: BundleSpec, L: Expr, level: int, order, weight) -> tuple[Expr,
     """Components sum_{a=max(level,1)..k} weight(a) d_t(d_{y^{i(a)}} L), with
     the base partial d_{x^i} L added at level 0."""
     src = _source(L, order)
+    rungs = range(max(level, 1), spec.k + 1)
+    base = partial_terms(src, spec.level_names(0), order) if level == 0 else None
+    inner = iter(_derive(src, [jet_var(i, a) for i in range(spec.n) for a in rungs], order))
     out = []
     for i in range(spec.n):
-        terms = partial_terms(src, jet_var(i, 0), order) if level == 0 else []
-        for a in range(max(level, 1), spec.k + 1):
-            terms += scale_terms(weight(a), _dragged(spec, src, i, a, order))
+        terms = base[i] if level == 0 else []
+        for a in rungs:
+            terms += scale_terms(weight(a), _dragged(spec, next(inner), order))
         out.append(_sum(terms))
     return tuple(out)
 
@@ -210,10 +210,12 @@ def craig_synge_closed_form(
     tensor. Disagrees with the ladder on quadratic Lagrangians; see
     :func:`covector_gap`."""
     src = normalize_terms(L)
+    below = partial_terms(src, spec.level_names(spec.k - 1), spec.alpha)
+    inner = _derive(src, spec.level_names(spec.k), spec.alpha)
     out = []
     for i in range(spec.n):
-        terms = partial_terms(src, jet_var(i, spec.k - 1), spec.alpha)
-        terms += negate_terms(_dragged(spec, src, i, spec.k, spec.alpha, spec.k))
+        terms = below[i]
+        terms += negate_terms(_dragged(spec, inner[i], spec.alpha, spec.k))
         for j in range(spec.n):
             top = expand_terms(Var(jet_var(j, spec.k + 1)))
             terms += negate_terms(multiply_terms(expand_terms(fundamental[i][j]), top))
@@ -244,8 +246,8 @@ def extract_spray(spec: BundleSpec, L: Expr) -> tuple[Expr, ...]:
     E = el_residual(spec, L)
     out = []
     for i in range(spec.n):
-        for j in range(spec.n):
-            A_ij = normal_form(classical_partial(E[i], jet_var(j, spec.k + 1)))
+        for j, d in enumerate(classical_partials(E[i], spec.level_names(spec.k + 1))):
+            A_ij = normal_form(d)
             if i == j:
                 A_ii = A_ij
             elif A_ij != Num(0.0):
@@ -383,13 +385,9 @@ def fundamental_tensor(spec: BundleSpec, L: Expr, semantics: str = "classical"):
     """Half the level-1 fibre Hessian of L: classical partials or reviewed
     fractional partials depending on ``semantics``."""
     order = _order(spec, semantics)
-    src = _source(L, order)
-    rows = []
-    for i in range(spec.n):
-        di = _derive(src, jet_var(i, 1), order)
-        rows.append(tuple(_sum(scale_terms(0.5, partial_terms(di, jet_var(j, 1), order)))
-                          for j in range(spec.n)))
-    return tuple(rows)
+    ys = spec.level_names(1)
+    return tuple(tuple(_sum(scale_terms(0.5, d)) for d in partial_terms(di, ys, order))
+                 for di in _derive(_source(L, order), ys, order))
 
 
 def alpha_square(spec: BundleSpec, diag_entries) -> Expr:
@@ -443,12 +441,13 @@ def canonical_prolongation(spec: BundleSpec, rows, inverse_rows=None) -> Prolong
     ginv = diagonal_inverse(spec, rows) if inverse_rows is None else inverse_rows
     ginv = [[expand_terms(e) for e in row] for row in ginv]
     g = [[normalize_terms(e) for e in row] for row in rows]
-    dg = [[[partial_terms(e, jet_var(j, 0), alpha) for e in row] for row in g] for j in range(n)]
+    # dg[s][l][j]: the order-alpha partial of g_sl along x^j
+    dg = [[partial_terms(e, spec.level_names(0), alpha) for e in row] for row in g]
 
     def christoffel(i: int, j: int, l: int) -> tuple[Term, ...]:
         return collect_terms(
             t for s in range(n) for t in scale_terms(0.5, multiply_terms(
-                ginv[i][s], dg[j][s][l] + dg[l][j][s] + negate_terms(dg[s][j][l]))))
+                ginv[i][s], dg[s][l][j] + dg[j][s][l] + negate_terms(dg[j][l][s]))))
 
     gam = [[[christoffel(i, j, l) for l in range(n)] for j in range(n)] for i in range(n)]
     folded = [[[fold_terms(c) for c in row] for row in mat] for mat in gam]

@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 
+#: the most steps :func:`solve_fode` takes; its history arrays grow with the count
+MAX_STEPS = 10**7
+
+
 def _check_order(alpha: float) -> None:
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"derivative order must be in (0, 1], got {alpha}")
@@ -190,11 +194,16 @@ def solve_fode(rhs, x0, alpha: float, t_end: float, h: float) -> FodeResult:
     solution of D^alpha x = x, x(0) = 1 is the Mittag-Leffler eigenfunction.
     """
     _check_order(alpha)
+    if not (math.isfinite(h) and math.isfinite(t_end)):
+        raise DomainError(f"need finite h and t_end, got h={h}, t_end={t_end}")
     if h <= 0 or t_end <= 0:
         raise DomainError(f"need h > 0 and t_end > 0, got h={h}, t_end={t_end}")
+    steps = t_end / h  # inf when it overflows
+    if steps > MAX_STEPS:  # checked before any history array is allocated
+        raise DomainError(f"solve_fode takes at most {MAX_STEPS} steps, got t_end/h = {steps:g}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.shape[0]
-    n_steps = int(round(t_end / h))
+    n_steps = int(round(steps))
     if n_steps < 1:
         raise DomainError(f"t_end={t_end} shorter than one step h={h}")
     t = np.arange(n_steps + 1) * h

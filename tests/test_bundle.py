@@ -191,6 +191,20 @@ def test_prolongation_equals_the_tree_reference(comps):
         ref.weighted_jacobian_exprs(cm.components, names, 0.3))
 
 
+@pytest.mark.parametrize("comps", [("x1^1.5", "x1^2*x2", "x3*x1"),  # a benchmark atlas
+                                   ("2*x1 + x2", "(x1 + x3)^1.5 - 0.5*x2", "x3/x1^0.5")])
+def test_prolongation_equals_the_tree_reference_at_n3_k3(comps):
+    # the largest shapes the benchmark prolongs: every level is differentiated
+    # along up to 9 names in one pass
+    cm = ChartMap(tuple(parse(c) for c in comps))
+    spec = BundleSpec(3, 3, 0.45)
+    levels = jet_transform(cm, spec)
+    assert repr(levels) == repr(ref.jet_transform(cm, spec))
+    names = spec.all_names(2)
+    assert repr(weighted_jacobian_exprs(levels[2], names, 0.45)) == repr(
+        ref.weighted_jacobian_exprs(levels[2], names, 0.45))
+
+
 def test_prolongation_is_built_once_per_chart_and_spec():
     cm = ChartMap((parse("x1^2"), parse("x1*x2")))
     spec = BundleSpec(2, 2, 0.3)
@@ -386,6 +400,16 @@ def test_connection_builders_equal_the_expr_sum_reference(texts, k):
     assert repr(primal_to_dual(N)) == repr(ref.primal_to_dual(N))
     f = parse("0.7*x1^2*y1_1^1.5 + 1.3*x2*y2_1^2*y1_1")
     assert repr(spray_derivation(spec, G)(f)) == repr(ref.spray_derivation(spec, G)(f))
+
+
+def test_spray_to_dual_equals_the_expr_sum_reference_at_n3_k3():
+    spec = BundleSpec(3, 3, 0.45)
+    G = (parse("0.7*x1^0.9*y1_1^2 + 0.3*x2^0.45*y1_1*y2_1"),
+         parse("0.5*x2^1.35*y2_1^2 + 0.2*x3^0.9*y2_1*y3_1"),
+         parse("0.6*x3^0.45*y3_1^2 + 0.4*x1^0.9*y3_1*y1_1"))
+    dual = spray_to_dual(spec, G)
+    want = ref.spray_to_dual(spec, G)
+    assert dual == want and repr(dual) == repr(want)
 
 
 # ------------------------------------------- first-order chart covariance --

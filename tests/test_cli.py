@@ -427,6 +427,21 @@ def test_el_reference_nan_sample_fails_the_assertion(tmp_path, monkeypatch, caps
     assert "max residual nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["metric.1.1 = 1e308*1e308", "metric.1.2 = 1e308*1e308"])
+def test_connection_metric_not_finite_at_the_point_is_a_domain_error(entry, tmp_path, capsys):
+    key = entry.split(" = ")[0]
+    lines = [entry if line.startswith(key + " =") else line
+             for line in (CONFIGS / "connection_demo.cfg").read_text().splitlines()]
+    cfg = tmp_path / "conn.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "conn.json"
+    assert main(["connection", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not out.exists() and captured.out == ""
+    assert captured.err == ("domain error: metric or its adapted derivatives not finite"
+                            " at the evaluation point\n")
+
+
 def test_connection_nan_check_fails_the_assertion(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "pairing_residual", lambda *args: float("nan"))
     rc = main(["connection", "--config", f"{CONFIGS}/connection_demo.cfg",

@@ -9,8 +9,8 @@ import _reference_builders as ref
 from fracosc.errors import DomainError, EvalError, ParseError
 from fracosc.expr import (
     Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
-    classical_partial, collect_terms, compile_exprs, evaluate, expand_terms, frac_partial,
-    frac_partial_at, frac_partial_terms, free_vars, is_monomial_in, multiply_terms,
+    classical_partial, classical_partials, collect_terms, compile_exprs, evaluate, expand_terms,
+    frac_partial, frac_partial_at, frac_partial_terms, free_vars, is_monomial_in, multiply_terms,
     normal_form, normalize_terms, parse, scale_terms, simplify, term_frac_partial, to_str,
 )
 from fracosc.series import FracSeries, frac_derive
@@ -339,6 +339,27 @@ def test_dag_builders_equal_the_tree_reference(e, var):
     assert _built(classical_partial, e, var) == _built(ref.classical_partial, e, var)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_one_pass_partials_equal_the_tree_reference_per_name(e):
+    # the derivative of a subtree free of a name is shared between the names
+    # and must keep the signed zeros its structure gives; the first name
+    # that meets a failure raises its DomainError
+    assume(_tree_size(e) <= 150)
+    want = [_built(ref.classical_partial, e, var) for var in ("x", "y")]
+    errors = [w for w in want if w.startswith("DomainError")]
+    got = _built(classical_partials, e, ("x", "y"))
+    assert got == (errors[0] if errors else f"({want[0]}, {want[1]})")
+
+
+def test_one_pass_partials_report_the_first_name_through_a_call():
+    e = parse("x*y + gamma(y)*x")
+    with pytest.raises(DomainError, match="through gamma\\(...\\) in 'y'"):
+        classical_partials(e, ("x", "y"))
+    assert classical_partials(e, ()) == ()
+    assert classical_partials(e, ("x", "x")) == (classical_partial(e, "x"),) * 2
+
+
 def test_builders_are_linear_in_the_shared_dag():
     e = Add(Var("x"), Num(2.0))
     for _ in range(40):
@@ -347,6 +368,9 @@ def test_builders_are_linear_in_the_shared_dag():
     assert simplify(e) is e
     d = classical_partial(e, "x")
     assert simplify(d) is d
+    # not printed or compared: either walks all 2^40 paths of the unfolded tree
+    dx, dy, dz = classical_partials(e, ("x", "y", "z"))
+    assert simplify(dx) is dx and simplify(dy) is dy and dz == Num(0.0)
 
 
 # ------------------------------- compiled evaluator against the tree walk

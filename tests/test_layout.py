@@ -2,8 +2,9 @@
 private names, only ``expr`` evaluates an Expr inside a loop, only
 ``geometry.jet_var`` spells a jet-coordinate name, only ``specfun`` calls
 the gamma functions of ``math``, only ``expr`` expands a constant into a
-term sum to scale by it, only ``expr`` turns a partial into its terms, and
-every defaulted parameter is passed by some call."""
+term sum to scale by it, only ``expr`` turns a partial into its terms or
+takes one classical partial inside a loop, and every defaulted parameter is
+passed by some call."""
 
 import ast
 import re
@@ -123,10 +124,19 @@ def test_only_expr_expands_a_constant_to_scale_terms():
     assert offenders == []
 
 
+def _iterables(node):
+    """The iterables of a for loop or of each generator of a comprehension."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.iter]
+    return [g.iter for g in getattr(node, "generators", ())]
+
+
 def test_only_expr_turns_a_partial_into_terms():
-    # the partial of every term builder has one owner: expr.partial_terms
+    # the partial of every term builder has one owner: expr.partial_terms,
+    # which takes the classical partials along several names in one pass
     pairs = {("fold_terms", "frac_partial_terms"), ("expand_terms", "classical_partial"),
-             ("normalize_terms", "classical_partial")}
+             ("normalize_terms", "classical_partial"), ("expand_terms", "classical_partials"),
+             ("normalize_terms", "classical_partials")}
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "expr.py":
@@ -135,6 +145,25 @@ def test_only_expr_turns_a_partial_into_terms():
             if any(_called(node, outer) and any(_called(a, inner) for a in node.args)
                    for outer, inner in pairs):
                 offenders.append(f"{path.name}:{node.lineno}")
+            # a loop over the partials of one pass that expands each of them
+            if isinstance(node, _LOOPS) and any(
+                    _called(sub, inner) for it in _iterables(node) for sub in ast.walk(it)
+                    for _, inner in pairs):
+                if any(_called(sub, outer) for sub in ast.walk(node) for outer, _ in pairs):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_module_calls_classical_partial_in_a_loop():
+    # one Expr along several names is one pass of expr.classical_partials
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(loop, _LOOPS):
+                offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(loop)
+                              if _called(node, "classical_partial")]
     assert offenders == []
 
 

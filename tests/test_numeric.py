@@ -194,6 +194,18 @@ def test_solver_input_validation():
         solve_fode(lambda t, x: x, [1.0], 0.5, 0.001, 0.1)
 
 
+@pytest.mark.parametrize("t_end, h, match", [
+    (1.0, 1e-13, "at most 10000000 steps"),  # 1e13 steps: tens of TiB of history
+    (1.0, 1e-320, "at most 10000000 steps"),  # t_end/h overflows to inf
+    (1.0, math.nan, "finite"),
+    (math.nan, 1e-3, "finite"),
+])
+def test_solver_rejects_unaffordable_or_undefined_step_counts(t_end, h, match):
+    # a DomainError, raised before any history array is allocated
+    with pytest.raises(DomainError, match=match):
+        solve_fode(lambda t, x: x, [1.0], 0.5, t_end, h)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.2, max_value=1.0))
 def test_solver_zero_rhs_stays_put(alpha):

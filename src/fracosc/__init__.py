@@ -4,8 +4,8 @@ Layers, bottom to top:
 
 * :mod:`fracosc.specfun`      -- gamma / gamma products / generalized binomial / Mittag-Leffler
 * :mod:`fracosc.gammaledger`  -- exact gamma-ratio coefficients (one signed ledger of arguments)
-* :mod:`fracosc.series`       -- exact calculus on fractional-power series
 * :mod:`fracosc.expr`         -- small expression language + fractional partials
+* :mod:`fracosc.series`       -- fractional-power series in t: expr's term sums and calculus
 * :mod:`fracosc.numeric`      -- Grunwald-Letnikov / L1 schemes, fractional ODE solver
 * :mod:`fracosc.geometry`     -- charts, fractional Jacobians, fractional exterior calculus
 * :mod:`fracosc.bundle`       -- k-order fractional jet bundle: dilation fields, tangent

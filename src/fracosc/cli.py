@@ -17,7 +17,10 @@ solve       integrate a fractional ODE system D^alpha x = f(t, x) with the
 
 Exit codes: 0 success, 1 usage/config/parse problems, 2 domain or evaluation
 failures, 3 failed accuracy assertions (``--assert``). Output is byte
-deterministic: no timestamps, seeded sampling, canonical float repr.
+deterministic: no timestamps, seeded sampling, canonical float repr. The
+exact derivatives of ``deriv --scheme exact`` and the jets of ``el`` curve
+mode are series whose coefficients keep their gamma ledger through every
+derivative; each is folded once, by ``gamma_product``, when it is evaluated.
 """
 
 from __future__ import annotations
@@ -134,17 +137,14 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _series_from_expr(e) -> FracSeries:
-    terms = []
-    for t in normalize_terms(e):
+    terms = normalize_terms(e)
+    for t in terms:
         if t.others:
             raise DomainError("expression is not a pure power series in t")
-        power = 0.0
-        for name, p in t.powers:
+        for name, _ in t.powers:
             if name != "t":
                 raise DomainError(f"unexpected variable {name!r}; expected t")
-            power = p
-        terms.append((t.coeff.value(), power))
-    return FracSeries(tuple(terms))
+    return FracSeries.of_terms(terms)
 
 
 # ------------------------------------------------------------------- deriv --

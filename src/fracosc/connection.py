@@ -176,11 +176,17 @@ class MetricalConnection:
         (j, s, l, Delta_{x_j} g_sl) and entry a holds (j, s, l,
         Delta_{y^{j(a)}} g_sl) for s <= l. Each entry is normalized once."""
         n, k = self.spec.n, self.spec.k
+
+        def delta(s: int, l: int, g, j: int, a: int) -> Expr:  # naming the entry on failure
+            try:
+                return terms_to_expr(self._delta(g, j, a))
+            except DomainError as exc:
+                raise DomainError(f"metric entry ({s + 1}, {l + 1}): {exc}") from None
+
         entries = [(s, l, normalize_terms(self.metric.entry(s, l)))
                    for s in range(n) for l in range(s, n)]
         return tuple(
-            tuple((j, s, l, terms_to_expr(self._delta(g, j, a)))
-                  for s, l, g in entries for j in range(n))
+            tuple((j, s, l, delta(s, l, g, j, a)) for s, l, g in entries for j in range(n))
             for a in range(k + 1))
 
     @cached_property

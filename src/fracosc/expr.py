@@ -47,6 +47,7 @@ over the shared DAG plus, per variable, the distinct nodes that contain it.
 The fractional partial derivative along ``var`` follows the reviewed
 power-rule convention: terms free of ``var`` are annihilated, exponents in
 (0, alpha) are inadmissible (DomainError), and ``v^alpha -> Gamma(1+alpha)``.
+A negative order is the integral, which integrates constants too.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError, EvalError, ParseError
 from .gammaledger import GammaProduct
-from .series import reviewed_exponent
 from .specfun import gamma as _gamma_fn
 from .specfun import mittag_leffler as _ml_fn
 
@@ -69,7 +69,7 @@ __all__ = [
     "fold_terms", "multiply_terms", "scale_terms", "negate_terms", "normal_form",
     "term_frac_partial", "frac_partial_terms", "frac_partial", "classical_partial",
     "classical_partials", "frac_partial_at", "FALLBACK_STEP", "is_monomial_in",
-    "partial_terms",
+    "partial_terms", "reviewed_exponent", "EXP_SNAP",
 ]
 
 # --------------------------------------------------------------------- AST --
@@ -821,11 +821,32 @@ def normal_form(e: Expr) -> Expr:
 # ------------------------------------------------------ fractional partials --
 
 
-def term_frac_partial(t: Term, var: str, alpha: float) -> Term | None:
-    """Reviewed fractional partial of a single term along ``var``.
+#: exponents closer to an admissibility boundary than this are snapped to it
+EXP_SNAP = 1e-12
 
-    Returns None when the term is annihilated (no ``var`` content). Raises
-    DomainError when ``var`` occurs inside an opaque factor (not in the
+
+def reviewed_exponent(e: float, nu: float) -> float | None:
+    """The exponent of D^nu v^e under the reviewed power rule, snapped to 0.0
+    within EXP_SNAP; None for a constant under nu > 0 (annihilated), and
+    DomainError for any other exponent below nu > 0."""
+    if nu > 0.0:
+        if e == 0.0:
+            return None  # reviewed operator kills constants
+        if e < nu - EXP_SNAP:
+            raise DomainError(
+                f"exponent {e} below derivative order {nu} (and nonzero): "
+                "fractional power rule inadmissible"
+            )
+    new_e = e - nu
+    return 0.0 if abs(new_e) < EXP_SNAP else new_e
+
+
+def term_frac_partial(t: Term, var: str, alpha: float) -> Term | None:
+    """Reviewed fractional partial of a single term along ``var``, the
+    package's one power rule (an integral for alpha < 0).
+
+    Returns None when the term is annihilated (no ``var`` content, alpha > 0).
+    Raises DomainError when ``var`` occurs inside an opaque factor (not in the
     monomial fragment) or carries an inadmissible exponent.
     """
     for f, _ in t.others:
@@ -833,15 +854,13 @@ def term_frac_partial(t: Term, var: str, alpha: float) -> Term | None:
             raise DomainError(
                 f"term has non-monomial dependence on {var!r}: {to_str(f)}")
     p = t.power_of(var)
-    new_p = None if p == 0.0 else reviewed_exponent(p, alpha)
+    new_p = reviewed_exponent(p, alpha)
     if new_p is None:
         return None
     coeff = t.coeff.times_ratio(1.0 + p, 1.0 + new_p)
-    powers = tuple(
-        (n, new_p if n == var else q)
-        for n, q in t.powers
-        if not (n == var and new_p == 0.0)
-    )
+    powers = tuple((n, new_p if n == var else q) for n, q in t.powers if n != var or new_p)
+    if p == 0.0 and new_p:  # an integrated constant: var enters the term
+        powers = tuple(sorted(powers + ((var, new_p),)))
     return Term(coeff, powers, t.others)
 
 

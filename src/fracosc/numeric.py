@@ -163,7 +163,7 @@ def int_by_parts_residual(f1, f2, alpha: float, b: float, n: int) -> float:
         raise DomainError(f"need b > 0 and n >= 1, got b={b}, n={n}")
     if f2.coefficient_at(0.0) != 0.0:
         raise DomainError("f2 must vanish at 0 (no constant term)")
-    if abs(f1(b)) > 1e-10 * max(1.0, max((abs(c) for c, _ in f1.terms), default=0.0)):
+    if abs(f1(b)) > 1e-10 * max(1.0, max((abs(c) for c, _ in f1.pairs), default=0.0)):
         raise DomainError(f"f1 must vanish at the right endpoint b={b}")
     from .series import definite_integral, frac_derive
 

@@ -1,39 +1,41 @@
 """Exact calculus on finite fractional-power series  f(t) = sum_i c_i t^{e_i}.
 
-This is the symbolic backbone of the package: the reviewed fractional
-derivative acts on such series *exactly* through the power rule
+A series is a sum of collected :class:`~fracosc.expr.Term` s in the one
+variable ``t``, so it has the expression layer's calculus: sums concatenate
+terms, products are :func:`~fracosc.expr.multiply_terms`, and the reviewed
+fractional derivative is :func:`~fracosc.expr.frac_partial_terms` along t,
 
     D^nu [t^g] = Gamma(1+g)/Gamma(1+g-nu) * t^(g-nu),        g >= nu,
     D^nu [t^0] = 0                                            (nu > 0),
 
 where "reviewed" means the operator is applied to f - f(base), so constants
 are annihilated and the result agrees with the Caputo derivative for smooth f
-and 0 < nu <= 1. Negative nu is the corresponding fractional *integral* (same
-gamma-ratio formula, always admissible for exponents > -1).
-
-Admissibility: exponents strictly between 0 and nu are rejected with
-DomainError -- the power rule would produce a t^(negative) singularity that
-the reviewed operator is defined to exclude.
-
-Exponents live on a float lattice; after differentiation an exponent within
-EXP_SNAP of zero is snapped to exactly 0.0 so iterated derivatives of
-t^(a*m) hit the constant-annihilation branch despite rounding.
+and 0 < nu <= 1 (Podlubny, *Fractional Differential Equations*, 1999).
+Negative nu is the corresponding fractional *integral*; exponents in (0, nu)
+raise DomainError. Coefficients keep their gamma ledgers, so iterated
+derivatives telescope, and each is folded once, by ``GammaProduct.value()``,
+when the series is read: :meth:`FracSeries.evaluate`, the JSON text and the
+folded view :attr:`FracSeries.pairs`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError, EvalError
-from .specfun import gamma, gamma_ratio, gen_binomial
+from .expr import (
+    EXP_SNAP, Term, collect_terms, fold_terms, frac_partial_terms, multiply_terms, scale_terms,
+)
+from .gammaledger import GammaProduct
+from .specfun import gamma, gen_binomial
 
 __all__ = [
     "FracSeries",
-    "reviewed_exponent",
     "frac_derive",
     "frac_derive_iterated",
     "classical_derive",
@@ -45,62 +47,46 @@ __all__ = [
     "ml_series",
 ]
 
-#: exponents closer to an admissibility boundary than this are snapped to it
-EXP_SNAP = 1e-12
-
-
-def _snap(e: float) -> float:
-    return 0.0 if abs(e) < EXP_SNAP else e
+#: the variable of every series
+_T = "t"
 
 
 @dataclass(frozen=True)
 class FracSeries:
-    """Finite sum of real-power terms, canonically sorted by exponent.
+    """Finite sum of real-power terms in t: collected terms, each coefficient
+    with its gamma ledger. The domain is t >= 0 (t > 0 where negative
+    exponents are present)."""
 
-    terms: tuple of (coefficient, exponent); exponents unique and ascending.
-    The domain is t >= 0 (t > 0 where negative exponents are present).
-    """
+    terms: tuple[Term, ...]
 
-    terms: tuple[tuple[float, float], ...]
+    def __init__(self, pairs):
+        """The sum of c * t^e over the (coefficient, exponent) ``pairs``; an
+        exponent within EXP_SNAP of zero is zero."""
+        object.__setattr__(self, "terms", collect_terms(
+            Term(GammaProduct.of(c), () if abs(e) < EXP_SNAP else ((_T, float(e)),))
+            for c, e in pairs))
 
-    def __init__(self, terms):
-        merged: dict[float, float] = {}
-        for c, e in terms:
-            e = _snap(float(e))
-            merged[e] = merged.get(e, 0.0) + float(c)
-        clean = sorted(((c, e) for e, c in merged.items() if c != 0.0), key=lambda t: t[1])
-        object.__setattr__(self, "terms", tuple(clean))
-
-    # -- construction helpers -------------------------------------------------
+    @staticmethod
+    def of_terms(terms: Iterable[Term]) -> "FracSeries":
+        """The sum of ``terms``, power terms in ``t`` with no opaque factors."""
+        f = object.__new__(FracSeries)
+        object.__setattr__(f, "terms", collect_terms(terms))
+        return f
 
     @staticmethod
     def monomial(coeff: float, exponent: float) -> "FracSeries":
         return FracSeries([(coeff, exponent)])
 
-    @staticmethod
-    def zero() -> "FracSeries":
-        return FracSeries([])
-
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other: "FracSeries") -> "FracSeries":
-        return FracSeries(list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "FracSeries") -> "FracSeries":
-        return self + other.scaled(-1.0)
-
-    def __neg__(self) -> "FracSeries":
-        return self.scaled(-1.0)
+        return FracSeries.of_terms(self.terms + other.terms)
 
     def scaled(self, c: float) -> "FracSeries":
-        return FracSeries([(c * ci, ei) for ci, ei in self.terms])
+        return FracSeries.of_terms(scale_terms(c, self.terms))
 
     def __mul__(self, other: "FracSeries") -> "FracSeries":
-        out = []
-        for c1, e1 in self.terms:
-            for c2, e2 in other.terms:
-                out.append((c1 * c2, e1 + e2))
-        return FracSeries(out)
+        return FracSeries.of_terms(multiply_terms(self.terms, other.terms))
 
     # -- queries --------------------------------------------------------------
 
@@ -108,10 +94,18 @@ class FracSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[float, float], ...]:
+        """(coefficient, exponent) pairs: every ledger folded once, equal
+        exponents summed, zero coefficients dropped, exponents ascending."""
+        folded = collect_terms(fold_terms(self.terms))
+        return tuple(sorted(((t.coeff.factor, t.power_of(_T)) for t in folded),
+                            key=lambda ce: ce[1]))
+
     def coefficient_at(self, exponent: float) -> float:
         """The coefficient of the term whose exponent is within EXP_SNAP of
         ``exponent``, 0 if there is none."""
-        for c, e in self.terms:
+        for c, e in self.pairs:
             if abs(e - exponent) <= EXP_SNAP:
                 return c
         return 0.0
@@ -120,12 +114,12 @@ class FracSeries:
         return self.evaluate(t)
 
     def evaluate(self, t):
-        """Evaluate at scalar or ndarray t >= 0."""
+        """Evaluate at scalar or ndarray t >= 0, summing in ascending exponent order."""
         arr = np.asarray(t, dtype=float)
         if np.any(arr < 0.0):
             raise EvalError("fractional-power series require t >= 0")
         out = np.zeros_like(arr)
-        for c, e in self.terms:
+        for c, e in self.pairs:
             if e == 0.0:
                 out = out + c
             elif e < 0.0:
@@ -141,7 +135,7 @@ class FracSeries:
 
     def to_json_text(self) -> str:
         """JSON array of [coefficient, exponent] pairs, ascending exponents."""
-        return json.dumps([[c, e] for c, e in self.terms])
+        return json.dumps([[c, e] for c, e in self.pairs])
 
     @staticmethod
     def from_json_text(text: str) -> "FracSeries":
@@ -155,35 +149,16 @@ class FracSeries:
             raise DomainError(f"bad series text {text!r}: {exc}") from None
 
 
-def reviewed_exponent(e: float, nu: float) -> float | None:
-    """The exponent of D^nu t^e under the reviewed power rule, snapped to 0.0
-    within EXP_SNAP; None for a constant under nu > 0 (annihilated), and
-    DomainError for any other exponent below nu > 0."""
-    if nu > 0.0:
-        if e == 0.0:
-            return None  # reviewed operator kills constants
-        if e < nu - EXP_SNAP:
-            raise DomainError(
-                f"exponent {e} below derivative order {nu} (and nonzero): "
-                "fractional power rule inadmissible"
-            )
-    return _snap(e - nu)
-
-
 def frac_derive(f: FracSeries, nu: float) -> FracSeries:
-    """Reviewed fractional derivative (nu > 0) / integral (nu < 0) of order nu.
+    """Reviewed fractional derivative (nu > 0) / integral (nu < 0) of order nu:
+    the term partial of :mod:`fracosc.expr` along t, ledgers kept.
 
     Constants are annihilated for nu > 0 (reviewed convention); exponents in
     the open interval (0, nu) raise DomainError. nu = 0 returns f unchanged.
     """
     if nu == 0.0:
         return f
-    out = []
-    for c, e in f.terms:
-        new_e = reviewed_exponent(e, nu)
-        if new_e is not None:
-            out.append((c * gamma_ratio(1.0 + e, 1.0 + new_e), new_e))
-    return FracSeries(out)
+    return FracSeries.of_terms(frac_partial_terms(f.terms, _T, nu))
 
 
 def frac_derive_iterated(f: FracSeries, alpha: float, times: int) -> FracSeries:
@@ -197,7 +172,7 @@ def frac_derive_iterated(f: FracSeries, alpha: float, times: int) -> FracSeries:
 
 def classical_derive(f: FracSeries) -> FracSeries:
     """Ordinary derivative d/dt (exact on powers)."""
-    return FracSeries([(c * e, e - 1.0) for c, e in f.terms if e != 0.0])
+    return FracSeries([(c * e, e - 1.0) for c, e in f.pairs if e != 0.0])
 
 
 def semigroup_residual(f: FracSeries, alpha: float, beta: float) -> float:
@@ -216,10 +191,10 @@ def semigroup_residual(f: FracSeries, alpha: float, beta: float) -> float:
 def series_distance(a: FracSeries, b: FracSeries) -> float:
     """max coefficient discrepancy after matching exponents within 1e-9."""
     worst = 0.0
-    used = [False] * len(b.terms)
-    for c1, e1 in a.terms:
+    used = [False] * len(b.pairs)
+    for c1, e1 in a.pairs:
         hit = None
-        for j, (c2, e2) in enumerate(b.terms):
+        for j, (c2, e2) in enumerate(b.pairs):
             if not used[j] and abs(e1 - e2) <= 1e-9:
                 hit = j
                 break
@@ -227,8 +202,8 @@ def series_distance(a: FracSeries, b: FracSeries) -> float:
             worst = max(worst, abs(c1))
         else:
             used[hit] = True
-            worst = max(worst, abs(c1 - b.terms[hit][0]))
-    for j, (c2, _) in enumerate(b.terms):
+            worst = max(worst, abs(c1 - b.pairs[hit][0]))
+    for j, (c2, _) in enumerate(b.pairs):
         if not used[j]:
             worst = max(worst, abs(c2))
     return worst
@@ -248,7 +223,7 @@ def leibniz_series(f1: FracSeries, f2: FracSeries, alpha: float, K: int) -> Frac
     """
     if K < 0:
         raise DomainError(f"K must be >= 0, got {K}")
-    total = FracSeries.zero()
+    total = FracSeries(())
     d2 = f2
     for k in range(K + 1):
         if d2.is_zero and k > 0:
@@ -282,7 +257,7 @@ def definite_integral(f: FracSeries, b: float) -> float:
     if b < 0:
         raise DomainError(f"integration endpoint must be >= 0, got {b}")
     total = 0.0
-    for c, e in f.terms:
+    for c, e in f.pairs:
         if e <= -1.0:
             raise DomainError(f"exponent {e} not integrable at 0")
         total += c * b ** (e + 1.0) / (e + 1.0)

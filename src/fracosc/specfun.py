@@ -49,7 +49,7 @@ import math
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["gamma", "gamma_product", "gamma_ratio", "gen_binomial", "mittag_leffler"]
+__all__ = ["gamma", "gamma_product", "gen_binomial", "mittag_leffler"]
 
 
 def gamma(x: float) -> float:
@@ -92,12 +92,6 @@ def gamma_product(factor: float, ledger: tuple[tuple[float, int], ...]) -> float
     if not math.isfinite(v):
         raise DomainError(f"gamma product overflow: {factor!r} * {ledger!r}")
     return v
-
-
-def gamma_ratio(top: float, bottom: float) -> float:
-    """Gamma(top)/Gamma(bottom): the two-entry case of :func:`gamma_product`."""
-    ledger = ((top, 1), (bottom, -1)) if top <= bottom else ((bottom, -1), (top, 1))
-    return gamma_product(1.0, ledger)
 
 
 def gen_binomial(alpha: float, k: int) -> float:

@@ -442,6 +442,19 @@ def test_connection_metric_not_finite_at_the_point_is_a_domain_error(entry, tmp_
                             " at the evaluation point\n")
 
 
+def test_connection_delta_metric_overflow_names_the_metric_entry(tmp_path, capsys):
+    lines = ["metric.1.2 = 1e308*1e308*x1" if line.startswith("metric.1.2 =") else line
+             for line in (CONFIGS / "connection_demo.cfg").read_text().splitlines()]
+    cfg = tmp_path / "conn.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "conn.json"
+    assert main(["connection", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not out.exists() and captured.out == ""
+    assert captured.err == ("domain error: metric entry (1, 2): gamma product overflow:"
+                            " inf * ((1.6, -1),)\n")
+
+
 def test_connection_nan_check_fails_the_assertion(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "pairing_residual", lambda *args: float("nan"))
     rc = main(["connection", "--config", f"{CONFIGS}/connection_demo.cfg",

@@ -13,6 +13,7 @@ from fracosc.expr import (
     frac_partial, frac_partial_at, frac_partial_terms, free_vars, is_monomial_in, multiply_terms,
     normal_form, normalize_terms, parse, scale_terms, simplify, term_frac_partial, to_str,
 )
+from fracosc.gammaledger import GammaProduct
 from fracosc.series import FracSeries, frac_derive
 
 # ------------------------------------------------------------------ parsing
@@ -173,6 +174,16 @@ def test_exponent_equal_to_order_leaves_constant():
     assert d == Num(math.gamma(1.4))
 
 
+def test_negative_order_integrates_terms_free_of_the_variable():
+    # I^0.5 c = c x1^0.5 / Gamma(1.5); the variable enters in sorted position
+    terms = frac_partial_terms(normalize_terms(parse("3 + 2*x2 + x1")), "x1", -0.5)
+    assert [(t.coeff, t.powers) for t in terms] == [
+        (GammaProduct(2.0, ((1.5, -1),)), (("x1", 0.5), ("x2", 1.0))),
+        (GammaProduct(3.0, ((1.5, -1),)), (("x1", 0.5),)),
+        (GammaProduct(1.0, ((2.5, -1),)), (("x1", 1.5),)),
+    ]
+
+
 def test_inadmissible_exponent_raises():
     with pytest.raises(DomainError):
         frac_partial(parse("x1^0.2"), "x1", 0.5)
@@ -181,7 +192,7 @@ def test_inadmissible_exponent_raises():
 def test_large_exponent_matches_the_series_power_rule():
     # Gamma(201) overflows on its own; the ledger folds the ratio in log space
     d = frac_partial(parse("x1^200"), "x1", 0.5)
-    (c, e), = frac_derive(FracSeries.monomial(1.0, 200.0), 0.5).terms
+    (c, e), = frac_derive(FracSeries.monomial(1.0, 200.0), 0.5).pairs
     assert to_str(d) == "14.150977211993368*x1^199.5"
     assert d == Mul(Num(c), Pow(Var("x1"), e))
 

@@ -3,8 +3,9 @@ private names, only ``expr`` evaluates an Expr inside a loop, only
 ``geometry.jet_var`` spells a jet-coordinate name, only ``specfun`` calls
 the gamma functions of ``math``, only ``expr`` expands a constant into a
 term sum to scale by it, only ``expr`` turns a partial into its terms or
-takes one classical partial inside a loop, and every defaulted parameter is
-passed by some call."""
+takes one classical partial inside a loop, only ``gammaledger`` folds a gamma
+ledger and only ``expr`` applies the power rule, and every defaulted
+parameter is passed by some call."""
 
 import ast
 import re
@@ -164,6 +165,19 @@ def test_no_module_calls_classical_partial_in_a_loop():
             if isinstance(loop, _LOOPS):
                 offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(loop)
                               if _called(node, "classical_partial")]
+    assert offenders == []
+
+
+def test_one_gamma_fold_and_one_power_rule():
+    # one fold, GammaProduct.value, and one power rule, expr.term_frac_partial:
+    # the series layer differentiates through expr's terms
+    owners = {"gamma_product": "gammaledger.py", "reviewed_exponent": "expr.py",
+              "times_ratio": "expr.py"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            offenders += [f"{path.name}:{node.lineno} {name}" for name, owner in owners.items()
+                          if path.name != owner and _called(node, name)]
     assert offenders == []
 
 

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fracosc.errors import DomainError, EvalError
+from fracosc.expr import Add, Mul, Num, Pow, Var, frac_partial_terms, normalize_terms, reviewed_exponent
 from fracosc.series import (
     FracSeries,
     classical_derive,
@@ -15,7 +16,6 @@ from fracosc.series import (
     leibniz_series,
     ml_reconstruct,
     ml_series,
-    reviewed_exponent,
     semigroup_residual,
     series_distance,
 )
@@ -28,12 +28,12 @@ SQRT_PI = math.sqrt(math.pi)
 def test_power_rule_half_derivative_of_t():
     # D^0.5 t = Gamma(2)/Gamma(1.5) t^0.5 = (2/sqrt(pi)) t^0.5
     out = frac_derive(FracSeries.monomial(1.0, 1.0), 0.5)
-    assert out.terms == ((pytest.approx(2.0 / SQRT_PI, rel=1e-15), 0.5),)
+    assert out.pairs == ((pytest.approx(2.0 / SQRT_PI, rel=1e-15), 0.5),)
 
 
 def test_power_rule_exponent_equal_to_order_gives_constant():
     out = frac_derive(FracSeries.monomial(3.0, 0.7), 0.7)
-    assert out.terms == ((pytest.approx(3.0 * math.gamma(1.7), rel=1e-15), 0.0),)
+    assert out.pairs == ((pytest.approx(3.0 * math.gamma(1.7), rel=1e-15), 0.0),)
 
 
 def test_constants_are_annihilated():
@@ -70,9 +70,28 @@ def test_power_rule_coefficient_matches_gamma_ratio(alpha, gap):
     g = alpha + gap
     out = frac_derive(FracSeries.monomial(1.0, g), alpha)
     expected = math.gamma(1.0 + g) / math.gamma(1.0 + g - alpha)
-    (coeff, exp) = out.terms[0]
+    (coeff, exp) = out.pairs[0]
     assert coeff == pytest.approx(expected, rel=1e-13)
     assert exp == pytest.approx(g - alpha, abs=1e-13)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_frac_derive_is_the_term_partial_of_the_same_expr(data):
+    # one calculus: a series is its Expr in t, and frac_derive the partial
+    # along t of that Expr's terms, each coefficient folded once
+    nu = data.draw(st.floats(0.05, 0.95) | st.floats(-0.95, -0.05))
+    exponents = st.just(0.0) | st.floats(max(nu, 0.01), 5.0)  # clear of the input snap
+    pairs = data.draw(st.lists(st.tuples(st.floats(-10.0, 10.0).filter(bool), exponents),
+                               min_size=1, max_size=6))
+    e = Num(0.0)
+    for c, g in pairs:
+        e = Add(e, Mul(Num(c), Pow(Var("t"), g)))
+    want = sorted((t.power_of("t"), t.coeff.value())
+                  for t in frac_partial_terms(normalize_terms(e), "t", nu))
+    assume(len({g for g, _ in want}) == len(want))  # the folded view sums equal powers
+    got = [(g, c) for c, g in frac_derive(FracSeries(pairs), nu).pairs]
+    assert [(g.hex(), c.hex()) for g, c in got] == [(g.hex(), c.hex()) for g, c in want]
 
 
 def test_integral_then_derivative_roundtrip():
@@ -193,14 +212,14 @@ def test_ml_series_is_derivative_eigenfunction_fragment():
 
 def test_constructor_merges_and_sorts():
     f = FracSeries([(1.0, 2.0), (2.0, 0.5), (3.0, 2.0), (0.0, 1.0)])
-    assert f.terms == ((2.0, 0.5), (4.0, 2.0))
+    assert f.pairs == ((2.0, 0.5), (4.0, 2.0))
 
 
 def test_iterated_derivative_snaps_to_constant_lattice():
     # 0.9 - 3*0.3 is not exactly 0.0 in floats; the snap keeps the lattice
     f = FracSeries.monomial(2.0, 0.9)
     third = frac_derive_iterated(f, 0.3, 3)
-    assert third.terms == ((pytest.approx(2.0 * math.gamma(1.9), rel=1e-13), 0.0),)
+    assert third.pairs == ((pytest.approx(2.0 * math.gamma(1.9), rel=1e-13), 0.0),)
     assert frac_derive_iterated(f, 0.3, 4).is_zero
 
 

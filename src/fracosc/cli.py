@@ -43,10 +43,7 @@ from .errors import (
     ParseError,
     SingularityError,
 )
-# evaluate is unused here; perfbench's tracing self-test looks up fracosc.cli.evaluate
-from .expr import (  # noqa: F401
-    Add, Mul, Num, Pow, Var, compile_exprs, evaluate, normalize_terms, parse, to_str,
-)
+from .expr import Add, Mul, Num, Pow, Var, compile_exprs, normalize_terms, parse, to_str
 from .geometry import base_vars, jet_var
 from .lagrange import (
     el_residual,
@@ -152,6 +149,8 @@ def _series_from_expr(e) -> FracSeries:
 
 def cmd_deriv(args) -> int:
     alpha = args.alpha
+    if args.side != "left" and args.scheme != "gl":
+        raise ParseError(f"{args.scheme} supports only the left-sided derivative")
     ts = _parse_grid(args.grid)
     if args.series is not None:
         f = FracSeries.from_json_text(args.series)
@@ -169,8 +168,6 @@ def cmd_deriv(args) -> int:
         if args.scheme == "gl":
             dvals = gl_derivative(values, alpha, h, side=args.side)
         else:
-            if args.side != "left":
-                raise ParseError("l1 supports only the left-sided derivative")
             dvals = l1_derivative(values, alpha, h)
     meta = {"alpha": repr(alpha), "k": 1, "n": 1, "scheme": args.scheme,
             "config_sha256": "-"}
@@ -181,35 +178,36 @@ def cmd_deriv(args) -> int:
 # ---------------------------------------------------------------------- el --
 
 
-def _reference_problem(cfg):
-    kind = get_str(cfg, "el.kind", "fractional")
-    alpha = get_float(cfg, "el.alpha", 0.3)
-    power = get_float(cfg, "el.power", 2.0)
-    c = get_float(cfg, "el.c", 1.0)
-    coeffs = get_floats(cfg, "el.coeffs", (1.0, 1.0, 1.0))
+def _reference_problem(kind, alpha, power, c, coeffs, perturb):
     if kind == "fractional":
         prob = reference_problem_fractional(alpha, power, c, coeffs)
         fibre_exp = 2.0 * alpha
-    elif kind == "classical":
+    else:
         prob = reference_problem_classical(alpha, power, c, coeffs)
         fibre_exp = 2.0
-    else:
-        raise ParseError(f"el.kind must be fractional or classical, got {kind!r}")
-    perturb = get_float(cfg, "el.perturb", 0.0)
     if perturb != 0.0:
         # deliberately detune the Lagrangian (not the target)
         bad = Add(prob.lagrangian, Mul(Num(perturb), Pow(Var(jet_var(0, 1)), fibre_exp)))
         prob = type(prob)(prob.spec, bad, prob.target, prob.mode)
-    return prob, kind
+    return prob
 
 
 def _el_reference(cfg, sha, tol, out) -> int:
-    prob, kind = _reference_problem(cfg)
+    kind = get_str(cfg, "el.kind", "fractional")
+    if kind not in ("fractional", "classical"):
+        raise ParseError(f"el.kind must be fractional or classical, got {kind!r}")
+    alpha = get_float(cfg, "el.alpha", 0.3)
+    power = get_float(cfg, "el.power", 2.0)
+    c = get_float(cfg, "el.c", 1.0)
+    coeffs = get_floats(cfg, "el.coeffs", (1.0, 1.0, 1.0))
+    perturb = get_float(cfg, "el.perturb", 0.0)
     samples = get_int(cfg, "el.samples", 25)
     seed = get_int(cfg, "el.seed", 7)
     for key, value, least in (("el.samples", samples, 1), ("el.seed", seed, 0)):
         if value < least:
             raise ParseError(f"config key {key!r} must be >= {least}, got {value}")
+    cfg.check_all_read()
+    prob = _reference_problem(kind, alpha, power, c, coeffs, perturb)
     rng = np.random.default_rng(seed)
     names = prob.spec.all_names(prob.spec.k + 1)
     residuals = [reference_residual(prob, {name: rng.uniform(0.5, 2.0) for name in names})
@@ -249,6 +247,9 @@ def _el_curve(cfg, sha, tol, out) -> int:
     ts = _parse_grid(get_str(cfg, "el.grid"))
     if ts[0] <= 0.0:
         ts = ts[1:]  # jets of power curves blow up / degenerate at t = 0
+    if not len(ts):
+        raise ParseError("config key 'el.grid' has no point with t > 0")
+    cfg.check_all_read()
     residual = compile_exprs(el_residual(spec, L, mode))
     rows = np.array([residual(env) for env in jet_lift(curves, alpha, k + 1, ts).envs()])
     rows = rows.reshape(len(ts), spec.n)
@@ -278,14 +279,15 @@ def cmd_connection(args) -> int:
     n = get_int(cfg, "bundle.n")
     spec = BundleSpec(n, k, alpha)
     G = tuple(parse(get_str(cfg, f"spray.{i + 1}")) for i in range(n))
-    dual = spray_to_dual(spec, G)
-    primal = dual_to_primal(dual)
     metric = MetricField(spec, tuple(
         tuple(parse(get_str(cfg, f"metric.{i + 1}.{j + 1}")) for j in range(i, n))
         for i in range(n)))
     env = {}
     for name in spec.all_names():
         env[name] = get_float(cfg, f"point.{name}")
+    cfg.check_all_read()
+    dual = spray_to_dual(spec, G)
+    primal = dual_to_primal(dual)
     conn = MetricalConnection(spec, metric, primal)
     coeff = conn.coefficients_at(env)
     payload = {
@@ -330,6 +332,7 @@ def cmd_solve(args) -> int:
     x0 = np.array(get_floats(cfg, "solve.x0"))
     n = len(x0)
     f = compile_exprs([parse(get_str(cfg, f"solve.rhs.{i + 1}")) for i in range(n)])
+    cfg.check_all_read()
     names = base_vars(n)
 
     def rhs(t, s):

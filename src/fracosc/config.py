@@ -4,7 +4,9 @@ Grammar: one ``key = value`` pair per line; keys are lowercase dotted paths
 (``section.name``), values are free text up to the end of line. Blank lines
 and lines starting with ``#`` are skipped; ``#`` does not start a comment
 inside a value. Duplicate keys are rejected so a run is described by exactly
-one binding per name.
+one binding per name, and a command rejects a key it does not read
+(:meth:`Config.check_all_read`), so a misspelled key is an error, not a
+silent default.
 
 Typical file:
 
@@ -44,12 +46,30 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def load_config(path: str) -> tuple[dict[str, str], str]:
+class Config(dict):
+    """A parsed config that records which keys a run has read."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key: str) -> str:
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def check_all_read(self) -> None:
+        """Raise ParseError naming the first key that the run has not read."""
+        for key in self:
+            if key not in self.read:
+                raise ParseError(f"config key {key!r} is not used by this run")
+
+
+def load_config(path: str) -> tuple[Config, str]:
     """Parse a config file; returns (mapping, sha256 of the raw bytes)."""
     with open(path, "rb") as fh:
         data = fh.read()
     text = data.decode("utf-8")
-    return parse_config_text(text), hashlib.sha256(data).hexdigest()
+    return Config(parse_config_text(text)), hashlib.sha256(data).hexdigest()
 
 
 def _missing(key: str):

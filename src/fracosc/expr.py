@@ -745,26 +745,18 @@ def negate_terms(terms: Iterable[Term]) -> list[Term]:
 def collect_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
     """Group structurally identical monomials; coefficients with the same
     gamma ledger add exactly (so opposite pairs cancel to true zero)."""
-    groups: dict = {}
+    groups: dict = {}  # (collection key, ledger) -> the summed term
     for t in terms:
         if t.coeff.is_zero:
             continue
-        key = t.collection_key()
-        bucket = groups.setdefault(key, [])
-        for i, prev in enumerate(bucket):
-            if prev.coeff.ledger == t.coeff.ledger:
-                bucket[i] = Term(
-                    GammaProduct(prev.coeff.factor + t.coeff.factor, t.coeff.ledger),
-                    t.powers, t.others)
-                break
-        else:
-            bucket.append(t)
-    out = []
-    for key in sorted(groups, key=repr):
-        for t in groups[key]:
-            if not t.coeff.is_zero:
-                out.append(t)
-    return tuple(out)
+        slot = (t.collection_key(), t.coeff.ledger)
+        prev = groups.get(slot)
+        groups[slot] = t if prev is None else Term(
+            GammaProduct(prev.coeff.factor + t.coeff.factor, t.coeff.ledger),
+            t.powers, t.others)
+    # a stable sort keeps the ledgers of one key in the order they first came
+    ordered = sorted(groups.items(), key=lambda item: repr(item[0][0]))
+    return tuple(t for _, t in ordered if not t.coeff.is_zero)
 
 
 def normalize_terms(e: Expr) -> tuple[Term, ...]:

@@ -36,22 +36,21 @@ the gap is exposed as a measured quantity (``covector_gap``), not patched.
 
 Prolongations
 -------------
-``prolong_riemann`` / ``prolong_finsler`` / ``prolong_lagrange`` all funnel
-into one canonical construction: a fundamental tensor g, its Levi-Civita-type
-coefficients with base partials taken fractionally,
+``prolong_riemann`` is the one construction: a fundamental tensor g, its
+Levi-Civita-type coefficients with base partials taken fractionally,
 
     gamma^i_{jl} = 1/2 g^{is} (D^alpha_{x^j} g_sl + D^alpha_{x^l} g_js
                                - D^alpha_{x^s} g_jl),
 
 the quadratic spray G^i = 1/2 gamma^i_{pm} y^{p(1)} y^{m(1)} and the
-first-order dual coefficients M^{(1)i}_j = gamma^i_{jm} y^{m(1)}. They differ
-only in how g is produced: given directly (Riemann), as half the fractional
-fibre Hessian of an energy function (Finsler), or as half the fibre Hessian
-of a Lagrangian, classical by default (``semantics="hybrid"``) or fractional
-(``semantics="fractional"``). On diagonal metrics the fractional Hessian of
-the matched energy (:func:`alpha_square`) reproduces g exactly, so the three
-prolongations agree there; symbolic inversion is only provided for
-structurally diagonal fundamental tensors.
+first-order dual coefficients M^{(1)i}_j = gamma^i_{jm} y^{m(1)}.
+``prolong_finsler`` and ``prolong_lagrange`` only produce g and call it: as
+half the fractional fibre Hessian of an energy function (Finsler), or as half
+the classical fibre Hessian of a Lagrangian (Lagrange). For a diagonal
+metric g both the matched energy (:func:`alpha_square`) and the Lagrangian
+sum_i g_ii (y^{i(1)})^2 have g as their tensor, so the three prolongations
+agree there; symbolic inversion is only provided for structurally diagonal
+fundamental tensors.
 
 All of these builders combine term sums (:mod:`fracosc.expr`): each input is
 expanded once and each returned entry is printed to an Expr once.
@@ -95,7 +94,6 @@ from .series import FracSeries
 from .specfun import gamma
 
 __all__ = [
-    "jet_var",
     "total_jet_derivative",
     "el_residual",
     "craig_synge_level",
@@ -112,7 +110,6 @@ __all__ = [
     "alpha_square",
     "diagonal_inverse",
     "Prolongation",
-    "canonical_prolongation",
     "prolong_riemann",
     "prolong_finsler",
     "prolong_lagrange",
@@ -228,7 +225,7 @@ def covector_gap(
 ) -> float:
     """Pointwise gap between the ladder's next-to-top component and the
     closed form — a reported measurement, deliberately not reconciled."""
-    ladder = craig_synge_level(spec, L, spec.k - 1) if spec.k >= 1 else ()
+    ladder = craig_synge_level(spec, L, spec.k - 1)
     closed = craig_synge_closed_form(spec, L, fundamental)
     values = compile_exprs([e for pair in zip(ladder, closed) for e in pair])(env)
     return float(np.max(np.abs(np.subtract(values[::2], values[1::2]))))
@@ -434,8 +431,11 @@ class Prolongation:
     dual1: tuple  # M^{(1)i}_j = gamma^i_{jm} y^m
 
 
-def canonical_prolongation(spec: BundleSpec, rows, inverse_rows=None) -> Prolongation:
+def prolong_riemann(spec: BundleSpec, rows, inverse_rows=None) -> Prolongation:
+    """Prolongation of a base metric given as a full matrix of Exprs."""
     n, alpha = spec.n, spec.alpha
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DomainError(f"metric must be {n} x {n}")
     # the printed inverse is expanded: for a non-monomial diagonal it holds the
     # opaque factor den^-1, which the terms of 1/den would key as (den, -1)
     ginv = diagonal_inverse(spec, rows) if inverse_rows is None else inverse_rows
@@ -465,23 +465,11 @@ def canonical_prolongation(spec: BundleSpec, rows, inverse_rows=None) -> Prolong
     return Prolongation(spec, tuple(tuple(r) for r in rows), christoffels, spray, dual1)
 
 
-def prolong_riemann(spec: BundleSpec, rows, inverse_rows=None) -> Prolongation:
-    """Prolongation of a base metric given as a full matrix of Exprs."""
-    n = spec.n
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DomainError(f"metric must be {n} x {n}")
-    return canonical_prolongation(spec, rows, inverse_rows)
-
-
 def prolong_finsler(spec: BundleSpec, energy: Expr) -> Prolongation:
     """Prolongation of an energy function via its fractional fibre Hessian."""
-    return canonical_prolongation(spec, fundamental_tensor(spec, energy, "fractional"))
+    return prolong_riemann(spec, fundamental_tensor(spec, energy, "fractional"))
 
 
-def prolong_lagrange(spec: BundleSpec, L: Expr, semantics: str = "hybrid") -> Prolongation:
-    """Prolongation of a Lagrangian; ``semantics="hybrid"`` (default) reads
-    the fibre Hessian classically, ``"fractional"`` matches prolong_finsler."""
-    kind = {"hybrid": "classical", "fractional": "fractional"}.get(semantics)
-    if kind is None:
-        raise DomainError(f"unknown prolongation semantics {semantics!r}")
-    return canonical_prolongation(spec, fundamental_tensor(spec, L, kind))
+def prolong_lagrange(spec: BundleSpec, L: Expr) -> Prolongation:
+    """Prolongation of a Lagrangian via its classical fibre Hessian."""
+    return prolong_riemann(spec, fundamental_tensor(spec, L, "classical"))

@@ -98,9 +98,11 @@ class FracSeries:
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """(coefficient, exponent) pairs: every ledger folded once, equal
         exponents summed, zero coefficients dropped, exponents ascending."""
-        folded = collect_terms(fold_terms(self.terms))
-        return tuple(sorted(((t.coeff.factor, t.power_of(_T)) for t in folded),
-                            key=lambda ce: ce[1]))
+        sums: dict[float, float] = {}  # fold_terms drops zeros, so 0.0 + c is c
+        for t in fold_terms(self.terms):
+            e = t.power_of(_T)
+            sums[e] = sums.get(e, 0.0) + t.coeff.factor
+        return tuple((sums[e], e) for e in sorted(sums) if sums[e] != 0.0)
 
     def coefficient_at(self, exponent: float) -> float:
         """The coefficient of the term whose exponent is within EXP_SNAP of

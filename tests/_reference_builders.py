@@ -324,7 +324,7 @@ def diagonal_inverse(spec, rows):
     )
 
 
-def canonical_prolongation(spec, rows, inverse_rows=None):
+def prolong_riemann(spec, rows, inverse_rows=None):
     n, alpha = spec.n, spec.alpha
     ginv = diagonal_inverse(spec, rows) if inverse_rows is None else inverse_rows
     dgs = [[[frac_partial(rows[s][l], f"x{j + 1}", alpha) for l in range(n)]
@@ -352,14 +352,12 @@ def canonical_prolongation(spec, rows, inverse_rows=None):
     return Prolongation(spec, tuple(tuple(r) for r in rows), christoffels, spray, dual1)
 
 
-def prolong_finsler(spec, energy, inverse_rows=None):
-    return canonical_prolongation(
-        spec, fundamental_tensor(spec, energy, "fractional"), inverse_rows)
+def prolong_finsler(spec, energy):
+    return prolong_riemann(spec, fundamental_tensor(spec, energy, "fractional"))
 
 
-def prolong_lagrange(spec, L, semantics="hybrid", inverse_rows=None):
-    kind = {"hybrid": "classical", "fractional": "fractional"}[semantics]
-    return canonical_prolongation(spec, fundamental_tensor(spec, L, kind), inverse_rows)
+def prolong_lagrange(spec, L):
+    return prolong_riemann(spec, fundamental_tensor(spec, L, "classical"))
 
 
 def spray_derivation(spec, G):

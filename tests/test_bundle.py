@@ -34,7 +34,6 @@ from fracosc.bundle import (
     transform_primal_first_order,
 )
 from fracosc.errors import DomainError
-from fracosc import lagrange
 from fracosc.expr import Num, Var, evaluate, normal_form, parse, to_str
 from fracosc.geometry import ChartMap, base_vars, jet_var, weighted_jacobian_exprs
 from fracosc.series import FracSeries
@@ -58,7 +57,6 @@ def test_spec_names():
     )
     assert spec.dim == 8
     # one naming function; slot a*n + i holds coordinate i at level a
-    assert lagrange.jet_var is jet_var
     assert base_vars(2) == spec.level_names(0)
     assert spec.level_names(3) == ("y1_3", "y2_3")
     assert spec.all_names(4)[-2:] == (jet_var(0, 4), jet_var(1, 4)) == ("y1_4", "y2_4")

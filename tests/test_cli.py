@@ -164,6 +164,18 @@ def test_l1_right_side_rejected(capsys):
     assert rc == 1
 
 
+def test_exact_right_side_rejected(capsys):
+    # the exact derivative is left-sided; --side right used to return it unchanged
+    rc = main(
+        ["deriv", "--expr", "t^2", "--alpha", "0.5", "--grid", "0:1:0.1",
+         "--scheme", "exact", "--side", "right"]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: exact supports only the left-sided derivative\n"
+
+
 # ------------------------------------------------------------------- deriv --
 
 
@@ -263,6 +275,32 @@ def test_el_reference_negative_counts_are_config_errors(key, value, tmp_path, ca
     assert captured.out == ""
     least = 1 if key == "el.samples" else 0
     assert captured.err == f"config error: config key {key!r} must be >= {least}, got {value}\n"
+
+
+def test_el_curve_grid_without_positive_point_is_config_error(tmp_path, capsys):
+    # t = 0 is dropped, so this grid left no row to check and passed any assertion
+    text = (CONFIGS / "el_curve.cfg").read_text()
+    p = tmp_path / "zero.cfg"
+    p.write_text(text.replace("el.grid = 0.1:2.0:0.1", "el.grid = 0:0.5:1"))
+    assert main(["el", "--config", str(p), "--assert", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: config key 'el.grid' has no point with t > 0\n"
+
+
+@pytest.mark.parametrize("command,name", [
+    ("el", "el_reference.cfg"), ("el", "el_curve.cfg"),
+    ("connection", "connection_demo.cfg"), ("solve", "solve_eigen.cfg"),
+])
+def test_unused_config_key_is_config_error(command, name, tmp_path, capsys):
+    # a misspelled key used to be ignored, and the run took the default
+    p = tmp_path / name
+    p.write_text((CONFIGS / name).read_text() + "el.alhpa = 0.45\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err == "config error: config key 'el.alhpa' is not used by this run\n"
 
 
 def test_el_empty_coeffs_is_config_error(tmp_path, capsys):

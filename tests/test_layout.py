@@ -4,8 +4,9 @@ private names, only ``expr`` evaluates an Expr inside a loop, only
 the gamma functions of ``math``, only ``expr`` expands a constant into a
 term sum to scale by it, only ``expr`` turns a partial into its terms or
 takes one classical partial inside a loop, only ``gammaledger`` folds a gamma
-ledger and only ``expr`` applies the power rule, and every defaulted
-parameter is passed by some call."""
+ledger and only ``expr`` applies the power rule, every defaulted
+parameter is passed by some call, and a module's ``__all__`` lists only
+names the module defines."""
 
 import ast
 import re
@@ -217,4 +218,27 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     offenders = [f"{path.name}: {name}({param})" for path in sorted(PACKAGE.glob("*.py"))
                  for name, param, pos in _defaulted(ast.parse(path.read_text(encoding="utf-8")))
                  if not {(name, param), (name, pos), (name, "*")} & passed]
+    assert offenders == []
+
+
+def _defined(tree) -> tuple[set[str], list[str]]:
+    """(names a module binds at top level other than by import, its __all__)."""
+    names, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                exported = ast.literal_eval(node.value)
+    return names, exported
+
+
+def test_all_lists_only_names_the_module_defines():
+    # a name re-exported through __all__ is a second public path to one object
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        names, exported = _defined(ast.parse(path.read_text(encoding="utf-8")))
+        offenders += [f"{path.name}: {name}" for name in exported if name not in names]
     assert offenders == []

@@ -27,21 +27,17 @@ SETTINGS = [
 ]
 
 
-def worst(problem, rng, samples=60):
-    out = 0.0
-    for _ in range(samples):
-        env = {"x1": rng.uniform(0.5, 2.0)}
-        for a in range(1, problem.spec.k + 2):
-            env[f"y1_{a}"] = rng.uniform(0.5, 2.0)
-        out = max(out, reference_residual(problem, env))
-    return out
+def _max_residual(problem, rng, samples=60):
+    names = ["x1"] + [f"y1_{a}" for a in range(1, problem.spec.k + 2)]
+    jets = rng.uniform(0.5, 2.0, size=(samples, len(names)))  # row-major: sample by sample
+    return max([0.0, *reference_residual(problem, dict(zip(names, jets.T))).tolist()])
 
 
 def main():
     rng = np.random.default_rng(11)
     for alpha, power, c, coeffs in SETTINGS:
-        frac = worst(reference_problem_fractional(alpha, power, c, coeffs), rng)
-        clas = worst(reference_problem_classical(alpha, power, c, coeffs), rng)
+        frac = _max_residual(reference_problem_fractional(alpha, power, c, coeffs), rng)
+        clas = _max_residual(reference_problem_classical(alpha, power, c, coeffs), rng)
         print(
             f"alpha={alpha:<5} power={power:<4} c={c:<4} coeffs={coeffs}: "
             f"fractional {frac:.3e}   classical {clas:.3e}"

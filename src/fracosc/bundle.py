@@ -179,13 +179,6 @@ class JetPoint:
         """Coordinates in slot order x, y^{(1)}, y^{(2)}, ..."""
         return np.array([v for level in (self.x, *self.y) for v in level])
 
-    def envs(self) -> list[dict[str, float]]:
-        """The env at each grid point of a point lifted on a grid (see
-        :func:`jet_lift`), with Python floats."""
-        env = self.env()
-        names, columns = list(env), [np.asarray(c).tolist() for c in env.values()]
-        return [dict(zip(names, values)) for values in zip(*columns)]
-
 
 def jet_lift(curves: list[FracSeries], alpha: float, levels: int,
              t: float | np.ndarray) -> JetPoint:

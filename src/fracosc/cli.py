@@ -210,8 +210,8 @@ def _el_reference(cfg, sha, tol, out) -> int:
     prob = _reference_problem(kind, alpha, power, c, coeffs, perturb)
     rng = np.random.default_rng(seed)
     names = prob.spec.all_names(prob.spec.k + 1)
-    residuals = [reference_residual(prob, {name: rng.uniform(0.5, 2.0) for name in names})
-                 for _ in range(samples)]
+    jets = rng.uniform(0.5, 2.0, size=(samples, len(names)))  # row-major: sample by sample
+    residuals = reference_residual(prob, dict(zip(names, jets.T)))
     worst = float(np.max(residuals))  # NaN, if any, propagates
     payload = {
         "tool": "fracosc",
@@ -251,11 +251,10 @@ def _el_curve(cfg, sha, tol, out) -> int:
         raise ParseError("config key 'el.grid' has no point with t > 0")
     cfg.check_all_read()
     residual = compile_exprs(el_residual(spec, L, mode))
-    rows = np.array([residual(env) for env in jet_lift(curves, alpha, k + 1, ts).envs()])
-    rows = rows.reshape(len(ts), spec.n)
+    rows = residual.grid(jet_lift(curves, alpha, k + 1, ts).env())
     meta = {"alpha": repr(alpha), "k": k, "n": spec.n, "config_sha256": sha}
     cols = ["t"] + [f"residual_{i + 1}" for i in range(spec.n)]
-    _write(_csv(meta, cols, [ts, *rows.T]), out)
+    _write(_csv(meta, cols, [ts, *rows]), out)
     return _gate(float(np.max(np.abs(rows), initial=0.0)), tol, "max residual")
 
 

@@ -37,7 +37,8 @@ Expressions built once are read at many points through :func:`compile_exprs`:
 the distinct nodes of a tuple of Exprs laid out once in post-order, one slot
 each, and run at each point (an evaluation procedure over the computational
 graph, Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 2).
-:func:`evaluate` is its one-point call.
+:func:`evaluate` is its one-point call; its grid entry runs the same list once
+over arrays of points, with the same bits at each point.
 
 Classical partials of one Expr along several variables are one pass of
 :func:`classical_partials` (vector mode, ibid., ch. 3): it costs one walk
@@ -57,7 +58,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import DomainError, EvalError, ParseError
+import numpy as np
+
+from .errors import DomainError, EvalError, FracoscError, ParseError
 from .gammaledger import GammaProduct
 from .specfun import gamma as _gamma_fn
 from .specfun import mittag_leffler as _ml_fn
@@ -359,7 +362,17 @@ def compile_exprs(exprs: Iterable[Expr]) -> Callable[[dict], tuple[float, ...]]:
     that a quotient takes its denominator first and checks it for zero before
     its numerator, so the first failure is the one a recursive evaluation
     would meet: unknown variables and arithmetic domain failures raise
-    EvalError, gamma poles DomainError. Values are Python floats."""
+    EvalError, gamma poles DomainError. Values are Python floats.
+
+    ``f.grid(env)`` is the entry for many points: ``env`` maps each name to a
+    1-D float64 array, all of one length n, and the result is an array of
+    shape (len(exprs), n). It runs the same instructions once over the
+    arrays, one numpy operation for each of ``+ - * /`` and negation, so its
+    values are bitwise those of ``f`` at each point; powers (Python's
+    ``**``), gamma and Mittag-Leffler go point by point or through the array
+    form of :func:`~fracosc.specfun.mittag_leffler`, with the same bits. If
+    any instruction fails, the points are replayed in order through ``f``,
+    which raises the error of the first failing point."""
     exprs = tuple(exprs)  # keeps every node alive, so the ids below stay valid
     slots: dict[int, int] = {}  # id(node) -> slot
     template: list = []  # one slot per distinct node; constants filled in
@@ -437,7 +450,64 @@ def compile_exprs(exprs: Iterable[Expr]) -> Callable[[dict], tuple[float, ...]]:
                 raise EvalError(f"unknown function {b!r}")
         return tuple([v[r] for r in roots])
 
+    def grid(env: dict) -> np.ndarray:
+        columns = [np.asarray(c, dtype=np.float64) for c in env.values()]
+        n = len(columns[0]) if columns else 0
+        try:
+            v = _run_grid(code, template, dict(zip(env, columns)))
+        except (FracoscError, ArithmeticError, LookupError, ValueError):
+            # the one-point loop raises the first failing point's error
+            f = compile_exprs(exprs)  # not ``run``: a cycle through run.grid would outlive f
+            points = [dict(zip(env, p)) for p in zip(*(c.tolist() for c in columns))]
+            return np.array([f(p) for p in points]).reshape(n, len(roots)).T
+        out = np.empty((len(roots), n))
+        for i, r in enumerate(roots):
+            out[i] = v[r]
+        return out
+
+    run.grid = grid
     return run
+
+
+def _run_grid(code: list, template: list, env: dict) -> list:
+    """The slots of a compiled evaluator over arrays (see :func:`compile_exprs`);
+    a slot free of every variable stays a Python float. Raises on any failure,
+    with no point named."""
+    v = template[:]
+    with np.errstate(all="ignore"):
+        for op, out, a, b in code:
+            if op == _MUL:
+                v[out] = v[a] * v[b]
+            elif op == _ADD:
+                v[out] = v[a] + v[b]
+            elif op == _POW:
+                v[out] = _pow_grid(v[a], b)
+            elif op == _SUB:
+                v[out] = v[a] - v[b]
+            elif op == _NEG:
+                v[out] = -v[a]
+            elif op == _VAR:
+                v[out] = env[a]
+            elif op == _DIV or op == _NONZERO:
+                x = v[b]
+                if np.any(x == 0.0):
+                    raise EvalError("division by zero")
+                if op == _DIV:
+                    v[out] = v[a] / x
+            elif op == _GAMMA:
+                x = v[a]
+                v[out] = (np.array([_gamma_fn(y) for y in x.tolist()])
+                          if isinstance(x, np.ndarray) else _gamma_fn(x))
+            elif op == _ML:
+                al, z = v[a], v[b]
+                if isinstance(al, np.ndarray):
+                    al, z = np.broadcast_arrays(al, z)
+                    v[out] = np.array([_ml_fn(p, q) for p, q in zip(al.tolist(), z.tolist())])
+                else:
+                    v[out] = _ml_fn(al, z)
+            else:
+                raise EvalError(f"unknown function {b!r}")
+    return v
 
 
 def evaluate(e: Expr, env: dict[str, float]) -> float:
@@ -459,6 +529,19 @@ def _pow_value(base: float, p: float) -> float:
         return base**p
     except OverflowError:
         raise EvalError(f"overflow computing {base}^{p}") from None
+
+
+def _pow_grid(base, p: float):
+    """:func:`_pow_value` at every point of an array base, by Python's ``**``."""
+    if not isinstance(base, np.ndarray):
+        return _pow_value(base, p)
+    zero = base == 0.0
+    if p < 0 and zero.any() or (base < 0.0).any() and p != int(p):
+        raise EvalError(f"no real power {p!r} at some point")
+    out = (base.astype(object) ** p).astype(np.float64)
+    if p > 0:
+        out[zero] = 0.0  # not -0.0: _pow_value maps any zero base to 0.0
+    return out
 
 
 def free_vars(e: Expr) -> frozenset[str]:
@@ -889,7 +972,9 @@ def frac_partial_at(e: Expr, var: str, alpha: float, env: dict[str, float]) -> f
 
     Symbolic path when available; otherwise a Grunwald-Letnikov fallback
     along the ``var`` axis from 0 to env[var] with step ~FALLBACK_STEP (the
-    reviewed convention is honored by differencing f - f(axis origin))."""
+    reviewed convention is honored by differencing f - f(axis origin)). The
+    fallback reads the whole axis grid in one call of the grid entry of
+    :func:`compile_exprs`, bitwise the values of a point-by-point loop."""
     try:
         return evaluate(frac_partial(e, var, alpha), env)
     except DomainError:
@@ -902,12 +987,9 @@ def frac_partial_at(e: Expr, var: str, alpha: float, env: dict[str, float]) -> f
     if T <= 0:
         raise DomainError(f"numeric fractional partial needs {var!r} > 0 at the point")
     n = max(8, int(round(T / FALLBACK_STEP)))
-    f = compile_exprs((e,))
-    vals = []
-    scratch = dict(env)
-    for j in range(n + 1):
-        scratch[var] = T * j / n
-        vals.append(f(scratch)[0])
+    axis = {name: np.full(n + 1, x, dtype=np.float64) for name, x in env.items()}
+    axis[var] = T * np.arange(n + 1) / n
+    (vals,) = compile_exprs((e,)).grid(axis)
     return float(gl_derivative(vals, alpha, T / n)[-1])
 
 # ------------------------------------------------------- classical partials --

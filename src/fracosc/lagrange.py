@@ -274,11 +274,9 @@ def spray_ode_residual(
 ) -> float:
     """max over sample times of |y^{i(k+1)}(t) - solved_i(jet(t))| along the
     exact jet of the given curves."""
-    f = compile_exprs(solved)
-    tops = [jet_var(i, spec.k + 1) for i in range(spec.n)]
-    gaps = [abs(env[top] - value)
-            for env in jet_lift(curves, spec.alpha, spec.k + 1, np.asarray(ts, dtype=float)).envs()
-            for top, value in zip(tops, f(env))]
+    jet = jet_lift(curves, spec.alpha, spec.k + 1, np.asarray(ts, dtype=float)).env()
+    tops = np.array([jet[jet_var(i, spec.k + 1)] for i in range(spec.n)])
+    gaps = np.abs(tops - compile_exprs(solved).grid(jet))
     return float(np.max(gaps, initial=0.0))  # np.max keeps a NaN gap
 
 
@@ -369,9 +367,15 @@ def reference_problem_classical(
     )
 
 
-def reference_residual(problem: ReferenceProblem, env: dict[str, float]) -> float:
-    """|E(env) - target(env)| for the problem's single coordinate."""
-    values = problem._residual_and_target(env)
+def reference_residual(problem: ReferenceProblem, env: dict) -> float | np.ndarray:
+    """|E(env) - target(env)| for the problem's single coordinate. An env of
+    equal-length arrays (one sample per index) gives the array of per-sample
+    values, read through the grid entry of the compiled evaluator."""
+    f = problem._residual_and_target
+    if isinstance(next(iter(env.values())), np.ndarray):
+        values = f.grid(env)
+        return np.max(np.abs(values[::2] - values[1::2]), axis=0)
+    values = f(env)
     return max(abs(e - target) for e, target in zip(values[::2], values[1::2]))
 
 

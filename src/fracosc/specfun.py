@@ -39,6 +39,12 @@ Conventions
     the contour; there it raises AccuracyError.
   - None, for z < 0 with s > 2 and alpha > 1: the series would lose its
     digits to cancellation, so AccuracyError.
+
+  z may also be a 1-D ndarray (alpha stays a float): the series-region points
+  are summed as one masked block, each stopping by the scalar rule, and the
+  other regions go point by point, so every value is bitwise the scalar
+  value. If any point fails, the points are replayed in order through the
+  scalar function, which raises the error of the first failing point.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+
+import numpy as np
 
 from .errors import AccuracyError, DomainError
 
@@ -129,16 +137,16 @@ ML_CONTOUR_NODES = 17
 ML_CONTOUR_FLOOR = 1e-14
 
 
-def mittag_leffler(alpha: float, z: float) -> float:
+def mittag_leffler(alpha: float, z: float | np.ndarray) -> float | np.ndarray:
     """One-parameter Mittag-Leffler function E_alpha(z), by region (see the
     module docstring): a value within tolerance, or AccuracyError /
-    DomainError -- never a silently wrong or infinite value."""
+    DomainError -- never a silently wrong or infinite value. An ndarray z
+    gives an ndarray of the scalar values."""
     if alpha <= 0:
         raise DomainError(f"mittag_leffler requires alpha > 0, got {alpha}")
-    try:
-        s = abs(z) ** (1.0 / alpha)
-    except OverflowError:
-        s = math.inf
+    if isinstance(z, np.ndarray):
+        return _ml_array(alpha, z)
+    s = _ml_s(alpha, z)
     if z < 0 and s > ML_SERIES_S:
         if alpha == 1.0:
             return math.exp(z)
@@ -156,6 +164,29 @@ def mittag_leffler(alpha: float, z: float) -> float:
             raise DomainError(f"mittag_leffler(alpha={alpha}, z={z}) overflows: exp({s!r})/alpha")
         return _ml_contour(alpha, z) + residue
     return _ml_series(alpha, z)
+
+
+def _ml_s(alpha: float, z: float) -> float:
+    """s = |z|^(1/alpha), the radius that picks the region."""
+    try:
+        return abs(z) ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
+
+
+def _ml_array(alpha: float, z: np.ndarray) -> np.ndarray:
+    """:func:`mittag_leffler` at every point of a 1-D array z."""
+    zs = z.tolist()
+    try:
+        s = np.array([_ml_s(alpha, x) for x in zs])
+        other = (z < 0) & (s > ML_SERIES_S) | (z > 0) & (s > ML_RESIDUE_S) & (alpha <= 2.0)
+        out = np.empty(len(zs))
+        out[~other] = _ml_series_block(alpha, z[~other])
+        for i in np.flatnonzero(other).tolist():
+            out[i] = mittag_leffler(alpha, zs[i])
+    except (AccuracyError, DomainError):
+        return np.array([mittag_leffler(alpha, x) for x in zs])  # raises the first failure
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -200,6 +231,38 @@ def _ml_series(alpha: float, z: float) -> float:
         f"mittag_leffler(alpha={alpha}, z={z}) did not converge within "
         f"{ML_MAX_TERMS} terms (last |term|={abs(term):.3e})"
     )
+
+
+def _ml_series_block(alpha: float, z: np.ndarray) -> np.ndarray:
+    """:func:`_ml_series` at every point of z: the same operations per point,
+    each point leaving the block at the term where the scalar loop returns.
+    Raises AccuracyError if some point fails, with no point named."""
+    table = _gamma_table(alpha)
+    out = np.empty(len(z))
+    live = np.arange(len(z))
+    total = np.zeros(len(z))
+    prev = np.full(len(z), math.inf)
+    zm = np.ones(len(z))
+    with np.errstate(all="ignore"):  # overflow and inf - inf, as in Python floats
+        for g in table:
+            if not len(live):
+                break
+            term = zm / g
+            total += term
+            size = np.abs(term)
+            big = np.abs(total)
+            done = (size <= prev) & (size <= ML_TOL * np.where(big > 1.0, big, 1.0))
+            if done.any():
+                if not np.isfinite(total[done]).all():
+                    raise AccuracyError("the series overflowed")
+                out[live[done]] = total[done]
+                keep = ~done
+                live, total, size, zm, z = live[keep], total[keep], size[keep], zm[keep], z[keep]
+            prev = size
+            zm *= z
+    if len(live):
+        raise AccuracyError("the series did not converge")
+    return out
 
 
 @functools.lru_cache(maxsize=16)

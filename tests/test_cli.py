@@ -449,18 +449,32 @@ def test_el_curve_nan_residuals_fail_the_assertion(tmp_path, capsys):
     assert captured.err == "assertion failed: max residual nan > 1.000e-10\n"
 
 
+def test_el_curve_nan_residuals_print_only_the_assertion_on_stderr(tmp_path):
+    # pytest's warning capture would hide a numpy RuntimeWarning from capsys
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = _curve_config(tmp_path, "1e300 * x1^2 * y1_1^2", "[[1e3, 1.0]]")
+    run = subprocess.run([sys.executable, "-m", "fracosc.cli", "el", "--config", cfg,
+                          "--assert", "1e-10"], env=env, capture_output=True)
+    assert run.returncode == 3
+    assert run.stderr == b"assertion failed: max residual nan > 1.000e-10\n"
+
+
 def test_el_reference_nan_sample_fails_the_assertion(tmp_path, monkeypatch, capsys):
     calls = []
 
-    def residual(prob, env):  # NaN at the second sample only
+    def residual(prob, env):  # one block of samples, NaN at the second only
         calls.append(env)
-        return float("nan") if len(calls) == 2 else 0.0
+        values = np.zeros(len(next(iter(env.values()))))
+        values[1] = float("nan")
+        return values
 
     monkeypatch.setattr(cli, "reference_residual", residual)
     out = tmp_path / "r.json"
     rc = main(["el", "--config", f"{CONFIGS}/el_reference.cfg", "--assert", "1e-8",
                "--out", str(out)])
-    assert rc == 3 and len(calls) > 2
+    assert rc == 3 and len(calls) == 1 and len(calls[0]["x1"]) > 2
     assert np.isnan(json.loads(out.read_text())["max_residual"])
     assert "max residual nan" in capsys.readouterr().err
 

@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import _reference_builders as ref
 from fracosc.errors import DomainError, EvalError, ParseError
 from fracosc.expr import (
-    Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
+    FALLBACK_STEP, Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
     classical_partial, classical_partials, collect_terms, compile_exprs, evaluate, expand_terms,
     frac_partial, frac_partial_at, frac_partial_terms, free_vars, is_monomial_in, multiply_terms,
     normal_form, normalize_terms, parse, scale_terms, simplify, term_frac_partial, to_str,
@@ -271,6 +272,22 @@ def test_numeric_fallback_matches_quadrature_oracle():
     assert got == pytest.approx(float(oracle), rel=7e-3)
 
 
+def test_numeric_fallback_is_bitwise_the_pointwise_gl_sum():
+    # the grid entry reads the axis grid with the bits of one call per point
+    from fracosc.numeric import gl_derivative
+
+    for text, alpha, env in (("x2^1.3 * ml(0.55, 0.9 * x1^0.55)", 0.55, {"x1": 0.05, "x2": 1.1}),
+                             ("(1 + x1^2)^0.5 * x2 + gamma(1 + x1)", 0.6, {"x1": 0.08, "x2": -1.0})):
+        e = parse(text)
+        with pytest.raises(DomainError):
+            frac_partial(e, "x1", alpha)
+        T = env["x1"]
+        n = round(T / FALLBACK_STEP)
+        vals = [evaluate(e, {**env, "x1": T * j / n}) for j in range(n + 1)]
+        want = float(gl_derivative(vals, alpha, T / n)[-1])
+        assert frac_partial_at(e, "x1", alpha, env).hex() == want.hex()
+
+
 # -------------------------------------------------------- classical partial
 
 def test_classical_partial_product_and_chain():
@@ -386,8 +403,11 @@ def test_builders_are_linear_in_the_shared_dag():
 
 # ------------------------------- compiled evaluator against the tree walk
 
-_envs = st.dictionaries(
-    st.sampled_from(["x", "y"]), st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0]))
+_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0])
+#: a few points binding one set of names
+_points = st.sets(st.sampled_from(["x", "y"])).flatmap(
+    lambda names: st.lists(st.fixed_dictionaries({n: _values for n in sorted(names)}),
+                           min_size=1, max_size=4))
 
 
 def _outcome(fn):
@@ -401,14 +421,26 @@ def _outcome(fn):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_trees, min_size=1, max_size=3), _envs)
-def test_compiled_evaluation_equals_the_tree_walk(exprs, env):
+@given(st.lists(_trees, min_size=1, max_size=3), _points)
+def test_compiled_evaluation_equals_the_tree_walk(exprs, points):
     # the last root shares the nodes of the first and the second-to-last
     exprs.append(Div(exprs[0], Sub(exprs[-1], Var("y"))))
     assume(sum(_tree_size(e) for e in exprs) <= 400)
-    want = _outcome(lambda: [ref.evaluate(e, env) for e in exprs])
-    assert _outcome(lambda: compile_exprs(exprs)(env)) == want
-    assert _outcome(lambda: [evaluate(e, env) for e in exprs]) == want
+    f = compile_exprs(exprs)
+    wants = []
+    for env in points:
+        want = _outcome(lambda: [ref.evaluate(e, env) for e in exprs])
+        assert _outcome(lambda: f(env)) == want
+        assert _outcome(lambda: [evaluate(e, env) for e in exprs]) == want
+        wants.append(want)
+    # the points stacked as columns: each point's bits, point after point,
+    # or the failure of the first failing point (a grid's length comes from
+    # its columns, so it needs one)
+    if points[0]:
+        columns = {name: np.array([env[name] for env in points]) for name in points[0]}
+        failed = [w for w in wants if isinstance(w, str)]
+        want = failed[0] if failed else [bits for w in wants for bits in w]
+        assert _outcome(lambda: f.grid(columns).T.ravel().tolist()) == want
 
 
 _BAD = Pow(Num(-2.0), 0.5)  # EvalError when it is reached

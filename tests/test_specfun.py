@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -274,3 +275,26 @@ def test_mittag_leffler_residue_region_agrees_with_the_series(alpha, s):
     except AccuracyError:
         return
     assert abs(mittag_leffler(alpha, z) - want) <= 5e-14 * abs(want)
+
+
+# an array z: the series block and the point-by-point regions, bit for bit
+@pytest.mark.parametrize("alpha,z", [
+    (0.6, np.linspace(-1.5, 5.0, 301)),  # series
+    (0.6, np.linspace(-40.0, -1.6, 101)),  # contour
+    (1.0, np.linspace(-30.0, -2.5, 101)),  # exp(z)
+    (0.8, np.linspace(16.5, 40.0, 101) ** 0.8),  # contour + residue
+    (0.7, np.linspace(-20.0, 20.0, 401)),  # all three alpha < 1 regions in one call
+    (1.7, np.array([])),
+], ids=["series", "contour", "exp", "residue", "mixed", "empty"])
+def test_mittag_leffler_on_an_array_is_the_scalar_function_bit_for_bit(alpha, z):
+    got = mittag_leffler(alpha, z)
+    assert [v.hex() for v in got.tolist()] == [mittag_leffler(alpha, x).hex() for x in z.tolist()]
+
+
+def test_mittag_leffler_on_an_array_raises_the_error_of_its_first_failing_point():
+    # 5^0.05 lies in the small-alpha gap of the positive axis; 10^0.05 too
+    with pytest.raises(AccuracyError) as want:
+        mittag_leffler(0.05, 5**0.05)
+    with pytest.raises(AccuracyError) as got:
+        mittag_leffler(0.05, np.array([0.5, 5**0.05, 10**0.05]))
+    assert str(got.value) == str(want.value)

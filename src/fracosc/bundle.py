@@ -412,9 +412,18 @@ class _Coefficients:
     def order(self, b: int):
         return self.mats[b - 1]
 
+    @classmethod
+    def _bundle(cls, spec: BundleSpec, levels):
+        """Coefficients of the :func:`_fold_matrix` pairs (Exprs, folded terms)
+        of orders 1..k, keeping the folded terms as ``terms``."""
+        out = cls(spec, tuple(mat for mat, _ in levels))
+        vars(out)["terms"] = tuple(tuple(tuple(row) for row in terms) for _, terms in levels)
+        return out
+
     @cached_property
     def terms(self) -> tuple:
-        """``terms[b - 1][i][j]`` is what expanding entry (i, j) of order b gives."""
+        """``terms[b - 1][i][j]`` is what expanding entry (i, j) of order b gives:
+        handed on by the builders, expanded on first use for matrices given as Exprs."""
         return tuple(tuple(tuple(expand_terms(e) for e in row) for row in mat)
                      for mat in self.mats)
 
@@ -450,34 +459,33 @@ def _fold_matrix(mat) -> tuple[tuple, list]:
     return exprs, [[fold_terms(c) for c in row] for row in mat]
 
 
-def _triangular(given, n: int, sign: float, built_left: bool) -> tuple:
+def _triangular(given, n: int, sign: float, built_left: bool) -> list:
     """Levels d = 1..k of X^{(d)} = Y^{(d)} + sign sum_{f<d} A^{(d-f)} B^{(f)}
     for the given levels Y, as term sums, where (A, B) = (X, Y) when
-    ``built_left`` and (Y, X) otherwise."""
-    exprs: list = []
+    ``built_left`` and (Y, X) otherwise; X comes as :func:`_fold_matrix` pairs."""
     built: list = []
     for d in range(1, len(given) + 1):
         acc = [[list(terms) for terms in row] for row in given[d - 1]]
         for f in range(1, d):
-            a, b = (built, given) if built_left else (given, built)
-            prod = _mat_mul(a[d - f - 1], b[f - 1], n)
+            if built_left:
+                prod = _mat_mul(built[d - f - 1][1], given[f - 1], n)
+            else:
+                prod = _mat_mul(given[d - f - 1], built[f - 1][1], n)
             for i in range(n):
                 for j in range(n):
                     acc[i][j] += scale_terms(sign, prod[i][j])
-        mat, terms = _fold_matrix([[collect_terms(t) for t in row] for row in acc])
-        exprs.append(mat)
-        built.append(terms)
-    return tuple(exprs)
+        built.append(_fold_matrix([[collect_terms(t) for t in row] for row in acc]))
+    return built
 
 
 def primal_to_dual(N: PrimalCoefficients) -> DualCoefficients:
     """M^{(d)} = N^{(d)} + sum_{f=1}^{d-1} M^{(d-f)} N^{(f)} (exact)."""
-    return DualCoefficients(N.spec, _triangular(N.terms, N.spec.n, 1.0, True))
+    return DualCoefficients._bundle(N.spec, _triangular(N.terms, N.spec.n, 1.0, True))
 
 
 def dual_to_primal(M: DualCoefficients) -> PrimalCoefficients:
     """Inverse of :func:`primal_to_dual`; exact by structural cancellation."""
-    return PrimalCoefficients(M.spec, _triangular(M.terms, M.spec.n, -1.0, False))
+    return PrimalCoefficients._bundle(M.spec, _triangular(M.terms, M.spec.n, -1.0, False))
 
 
 def adapted_frame(spec: BundleSpec, N: PrimalCoefficients, env: dict[str, float]) -> np.ndarray:
@@ -523,22 +531,22 @@ def spray_to_dual(spec: BundleSpec, G: tuple[Expr, ...]) -> DualCoefficients:
     with S the spray derivation (fractional along the base, classical along
     the fibres)."""
     n, alpha = spec.n, spec.alpha
-    M1, M1_terms = _fold_matrix([
+    levels = [_fold_matrix([
         [collect_terms(d) for d in partial_terms(G[i], spec.level_names(1), None)]
-        for i in range(n)])
-    mats, prev = [M1], M1_terms
+        for i in range(n)])]
+    M1_terms = levels[0][1]
     G_terms = [expand_terms(g) for g in G] if spec.k > 1 else []  # S runs for k > 1 only
     for a in range(1, spec.k):
         scale = gamma(alpha * a) / gamma(alpha * (a + 1))
+        mat, prev = levels[-1]
         derived = [[fold_terms(collect_terms(_spray_terms(
-                        spec, G_terms, mats[-1][i][j], collect_terms(prev[i][j]))))
+                        spec, G_terms, mat[i][j], collect_terms(prev[i][j]))))
                     for j in range(n)] for i in range(n)]
         correction = _mat_mul(M1_terms, prev, n)
-        mat, prev = _fold_matrix([
+        levels.append(_fold_matrix([
             [collect_terms(scale_terms(scale, derived[i][j] + correction[i][j]))
-             for j in range(n)] for i in range(n)])
-        mats.append(mat)
-    return DualCoefficients(spec, tuple(mats))
+             for j in range(n)] for i in range(n)]))
+    return DualCoefficients._bundle(spec, levels)
 
 
 # ---------------------------------------- first-order chart transformation --

@@ -26,6 +26,7 @@ derivative; each is folded once, by ``gamma_product``, when it is evaluated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -349,7 +350,9 @@ def cmd_solve(args) -> int:
 # -------------------------------------------------------------------- main --
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process (parsing leaves it as is)."""
     p = _Parser(prog="fracosc", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=f"fracosc {__version__}")
@@ -398,10 +401,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, EvalError, SingularityError) as exc:

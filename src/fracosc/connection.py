@@ -20,8 +20,9 @@ compatibility identity (the adapted covariant derivative of g vanishing)
 holds algebraically for *any* choice of N; the computed residual only carries
 the rounding of the numeric matrix inversion.
 
-The derivations are built as term sums (:mod:`fracosc.expr`): f and each
-coefficient N are expanded once and each result is printed once.
+The derivations are built as term sums (:mod:`fracosc.expr`): f is expanded
+once, each coefficient N is read from ``primal.terms`` and each result is
+printed once.
 
 The lifted (diagonal-type) metric on the full bundle pairs the adapted
 coframe blocks with g on every level: in natural coordinates it is

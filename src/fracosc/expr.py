@@ -71,7 +71,7 @@ __all__ = [
     "Term", "expand_terms", "collect_terms", "normalize_terms", "terms_to_expr",
     "fold_terms", "multiply_terms", "scale_terms", "negate_terms", "normal_form",
     "term_frac_partial", "frac_partial_terms", "frac_partial", "classical_partial",
-    "classical_partials", "frac_partial_at", "FALLBACK_STEP", "is_monomial_in",
+    "classical_partials", "frac_partial_at", "FALLBACK_STEP",
     "partial_terms", "reviewed_exponent", "EXP_SNAP",
 ]
 
@@ -949,18 +949,6 @@ def frac_partial_terms(terms: Iterable[Term], var: str, alpha: float) -> tuple[T
 def frac_partial(e: Expr, var: str, alpha: float) -> Expr:
     """Exact fractional partial on the monomial fragment (DomainError off it)."""
     return terms_to_expr(frac_partial_terms(normalize_terms(e), var, alpha))
-
-
-def is_monomial_in(e: Expr, var: str) -> bool:
-    """True when frac_partial(e, var, .) is available symbolically."""
-    try:
-        for t in normalize_terms(e):
-            for f, _ in t.others:
-                if var in free_vars(f):
-                    return False
-    except DomainError:
-        return False
-    return True
 
 
 #: the step of the Grunwald-Letnikov fallback of :func:`frac_partial_at`

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference_builders as ref
+from fracosc import bundle
 from fracosc.bundle import (
     BundleField,
     BundleSpec,
@@ -33,6 +34,7 @@ from fracosc.bundle import (
     transform_jet_point,
     transform_primal_first_order,
 )
+from fracosc.connection import MetricalConnection, MetricField
 from fracosc.errors import DomainError
 from fracosc.expr import Num, Var, evaluate, normal_form, parse, to_str
 from fracosc.geometry import ChartMap, base_vars, jet_var, weighted_jacobian_exprs
@@ -408,6 +410,35 @@ def test_spray_to_dual_equals_the_expr_sum_reference_at_n3_k3():
     dual = spray_to_dual(spec, G)
     want = ref.spray_to_dual(spec, G)
     assert dual == want and repr(dual) == repr(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_connection_builders_expand_no_printed_entry(monkeypatch, n, k):
+    # the CLI path: each builder hands on the terms it folded each entry from
+    spec = BundleSpec(n, k, 0.3)
+    G = tuple(parse(f"0.7*x{i}*y{i}_1^2 + 0.5*y{i % n + 1}_1^2/(z + 1)")
+              for i in range(1, n + 1))
+    metric = MetricField(spec, tuple(
+        tuple(parse(f"1.5 + 0.2*x{i}^2*y{i}_1^2" if i == j else f"0.1*x{i}*x{j}")
+              for j in range(i, n + 1)) for i in range(1, n + 1)))
+    env = dict(zip(spec.all_names(), np.random.default_rng(n + 10 * k).uniform(
+        0.5, 1.5, size=spec.dim)), z=0.8)
+    expanded, expand = [], bundle.expand_terms
+
+    def counting(e):
+        expanded.append(e)
+        return expand(e)
+
+    monkeypatch.setattr(bundle, "expand_terms", counting)
+    dual = spray_to_dual(spec, G)
+    primal = dual_to_primal(dual)
+    MetricalConnection(spec, metric, primal).coefficients_at(env)
+    entries = {id(e) for c in (dual, primal) for mat in c.mats for row in mat for e in row}
+    assert not [e for e in expanded if id(e) in entries]
+    monkeypatch.undo()
+    for c in (dual, primal, primal_to_dual(primal)):
+        assert repr(c.terms) == repr(type(c)(spec, c.mats).terms)
 
 
 # ------------------------------------------- first-order chart covariance --

@@ -633,6 +633,26 @@ def test_stdout_bytes_equal_out_file_bytes(tmp_path, capsys, argv):
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
+def test_one_parser_serves_every_run_as_a_fresh_process_would(capsysbinary):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [
+        ["deriv", "--expr", "t^2 + 1", "--alpha", "0.5", "--grid", "0:1:0.25"],
+        ["deriv", "--alpha", "0.5", "--grid", "0:1:0.25"],  # usage error: no --expr
+        ["connection", "--config", str(CONFIGS / "connection_demo.cfg")],
+        ["el", "--config", str(CONFIGS / "el_reference.cfg")],
+    ]
+    parser = cli.build_parser()
+    for argv in runs:
+        code = main(argv)
+        out, err = capsysbinary.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "fracosc.cli", *argv], env=env,
+                               capture_output=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli.build_parser() is parser
+
+
 def test_cli_import_does_not_load_numpy_fft():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)

@@ -11,8 +11,9 @@ from fracosc.errors import DomainError, EvalError, ParseError
 from fracosc.expr import (
     FALLBACK_STEP, Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
     classical_partial, classical_partials, collect_terms, compile_exprs, evaluate, expand_terms,
-    frac_partial, frac_partial_at, frac_partial_terms, free_vars, is_monomial_in, multiply_terms,
-    normal_form, normalize_terms, parse, scale_terms, simplify, term_frac_partial, to_str,
+    fold_terms, frac_partial, frac_partial_at, frac_partial_terms, free_vars, multiply_terms,
+    normal_form, normalize_terms, parse, scale_terms, simplify, term_frac_partial,
+    terms_to_expr, to_str,
 )
 from fracosc.gammaledger import GammaProduct
 from fracosc.series import FracSeries, frac_derive
@@ -200,7 +201,6 @@ def test_large_exponent_matches_the_series_power_rule():
 
 def test_var_inside_call_is_not_monomial():
     e = parse("gamma(x1 + 1.0)")
-    assert not is_monomial_in(e, "x1")
     with pytest.raises(DomainError):
         frac_partial(e, "x1", 0.5)
 
@@ -249,6 +249,38 @@ def test_scale_terms_is_the_product_with_the_expanded_constant(e, c):
     for terms in sums:
         want = multiply_terms(expand_terms(Num(c)), terms)
         got = scale_terms(c, terms)
+        assert got == want and repr(got) == repr(want)
+
+
+_OPAQUE = [parse("(x1 + x2)^-1"), parse("gamma(x2 + 1)"), parse("1/(y1_1 + 2)")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs, st.sampled_from([None, *_OPAQUE]), st.sampled_from([0.5, 0.3, -0.5]))
+def test_fold_terms_is_the_expansion_of_the_printed_sum(e, factor, order):
+    # the connection builders keep fold_terms(c) as the terms of terms_to_expr(c)
+    if factor is not None:
+        e = Add(e, Mul(factor, e))
+    try:
+        collected = normalize_terms(e)
+    except (DomainError, EvalError):
+        assume(False)
+    # plain, and the fractional partials with their Gamma ledgers kept
+    sums = [collected]
+    for var in ("x1", "x2", "y1_1"):
+        try:
+            sums.append(frac_partial_terms(collected, var, order))
+        except DomainError:
+            pass
+    for c in sums:
+        try:
+            want = expand_terms(terms_to_expr(c))
+        except DomainError as exc:  # a ledger through a Gamma pole fails both alike
+            with pytest.raises(DomainError) as err:
+                fold_terms(c)
+            assert str(err.value) == str(exc)
+            continue
+        got = fold_terms(c)
         assert got == want and repr(got) == repr(want)
 
 

@@ -66,6 +66,7 @@ import numpy as np
 from .errors import DomainError
 from .expr import (
     Add,
+    DerivativeMemo,
     Expr,
     Mul,
     Num,
@@ -285,9 +286,10 @@ def spray_derivation(spec: BundleSpec, G: tuple[Expr, ...]):
         _spray_terms(spec, G_terms, f, normalize_terms(f))))
 
 
-def _spray_terms(spec: BundleSpec, G_terms, f: Expr, f_terms) -> list[Term]:
+def _spray_terms(spec: BundleSpec, G_terms, f, f_terms) -> list[Term]:
     """The terms of S(f), uncollected, for G given by its expanded entries
-    and f by its Expr and its collected terms."""
+    and f by its collected terms and by what its classical partials take
+    (:func:`partial_terms`): its Expr, or the folded terms it prints."""
     alpha, n, k = spec.alpha, spec.n, spec.k
     # partials along level b - 1 for the rung b; the classical ones, along
     # the fibre levels 1..k, are taken in one pass
@@ -355,10 +357,13 @@ def _prolongation(cm: ChartMap, spec: BundleSpec) -> _Prolongation:
 def _prolong(cm: ChartMap, spec: BundleSpec) -> tuple[tuple[Expr, ...], ...]:
     alpha, n = spec.alpha, spec.n
     levels: list[tuple[Expr, ...]] = [tuple(cm.components)]
+    # level a + 1 contains level a and its partials: one memo differentiates
+    # each node once over all levels
+    memo = DerivativeMemo(spec.all_names())
     for a in range(1, spec.k + 1):
         w_a = rung_weight(alpha, a)
         # column (b-1) n + j differentiates along y^{j(b-1)} and pairs with y^{j(b)}
-        J = weighted_jacobian_exprs(levels[-1], spec.all_names(a - 1), alpha)
+        J = weighted_jacobian_exprs(levels[-1], spec.all_names(a - 1), alpha, memo)
         comps = []
         for i in range(n):
             acc: Expr = Num(0.0)
@@ -538,9 +543,9 @@ def spray_to_dual(spec: BundleSpec, G: tuple[Expr, ...]) -> DualCoefficients:
     G_terms = [expand_terms(g) for g in G] if spec.k > 1 else []  # S runs for k > 1 only
     for a in range(1, spec.k):
         scale = gamma(alpha * a) / gamma(alpha * (a + 1))
-        mat, prev = levels[-1]
+        prev = levels[-1][1]
         derived = [[fold_terms(collect_terms(_spray_terms(
-                        spec, G_terms, mat[i][j], collect_terms(prev[i][j]))))
+                        spec, G_terms, prev[i][j], collect_terms(prev[i][j]))))
                     for j in range(n)] for i in range(n)]
         correction = _mat_mul(M1_terms, prev, n)
         levels.append(_fold_matrix([

@@ -70,20 +70,24 @@ def _write(chunks, out: str | None):
             fh.writelines(chunks)
 
 
-#: rows of a CSV block converted to Python floats at a time
-_CSV_BLOCK = 1024
+#: rows of a CSV block, converted to Python floats and formatted at a time;
+#: a block's text stays near 4 KB (blocks of 256 or 1 024 rows raised the
+#: peak RSS of the CSV-writing benchmark workloads round after round)
+_CSV_BLOCK = 64
 
 
 def _csv(meta: dict, columns: list[str], data: list[np.ndarray]):
     """CSV lines of equal-length float64 arrays, one per column, each line
-    ending in a newline, produced a block of rows at a time."""
+    ending in a newline, produced a block of rows at a time: each cell is
+    the ``repr`` of its float, and a block is one ``%r`` row template filled
+    with the block's values in row-major order."""
     yield f"# tool=fracosc version={__version__}\n"
     yield "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
     yield ",".join(columns) + "\n"
+    row = ",".join(["%r"] * len(data)) + "\n"
     for start in range(0, len(data[0]), _CSV_BLOCK):
-        block = [column[start:start + _CSV_BLOCK].tolist() for column in data]
-        for row in zip(*block):
-            yield ",".join(map(repr, row)) + "\n"
+        values = np.column_stack([c[start:start + _CSV_BLOCK] for c in data]).ravel().tolist()
+        yield row * (len(values) // len(data)) % tuple(values)
 
 
 def _json(payload: dict) -> str:
@@ -334,11 +338,12 @@ def cmd_solve(args) -> int:
     f = compile_exprs([parse(get_str(cfg, f"solve.rhs.{i + 1}")) for i in range(n)])
     cfg.check_all_read()
     names = base_vars(n)
+    env: dict = {}  # refilled at every call; solve_fode converts the tuple
 
     def rhs(t, s):
-        env = {"t": float(t)}
+        env["t"] = float(t)
         env.update(zip(names, s.tolist()))
-        return np.array(f(env))
+        return f(env)
 
     res = solve_fode(rhs, x0, alpha, t_end, h)
     meta = {"alpha": repr(alpha), "k": 1, "n": n, "config_sha256": sha}

@@ -43,7 +43,11 @@ over arrays of points, with the same bits at each point.
 Classical partials of one Expr along several variables are one pass of
 :func:`classical_partials` (vector mode, ibid., ch. 3): it costs one walk
 over the shared DAG plus, per variable, the distinct nodes that contain it.
-:func:`classical_partial` is its one-variable call.
+:func:`classical_partial` is its one-variable call. A build whose Exprs
+contain each other's partials, as the levels of a prolongation do, keeps one
+:class:`DerivativeMemo` for all of them, so that each node is differentiated
+once per build. A printed term sum is differentiated on its terms by the
+power rule (:func:`partial_terms`), without printing it.
 
 The fractional partial derivative along ``var`` follows the reviewed
 power-rule convention: terms free of ``var`` are annihilated, exponents in
@@ -71,7 +75,7 @@ __all__ = [
     "Term", "expand_terms", "collect_terms", "normalize_terms", "terms_to_expr",
     "fold_terms", "multiply_terms", "scale_terms", "negate_terms", "normal_form",
     "term_frac_partial", "frac_partial_terms", "frac_partial", "classical_partial",
-    "classical_partials", "frac_partial_at", "FALLBACK_STEP",
+    "classical_partials", "DerivativeMemo", "frac_partial_at", "FALLBACK_STEP",
     "partial_terms", "reviewed_exponent", "EXP_SNAP",
 ]
 
@@ -1004,89 +1008,216 @@ def classical_partials(e: Expr, names: Sequence[str]) -> tuple[Expr, ...]:
     the same rules taken along a variable that occurs nowhere, not from a
     literal zero, because its signed zeros depend on the structure
     (``-0.0`` is the derivative of ``Neg(Num(0.0))``). Per name, only the
-    nodes that contain it are differentiated again, each once."""
+    nodes that contain it are differentiated again, each once. A build that
+    differentiates many Exprs sharing nodes keeps one :class:`DerivativeMemo`
+    instead, so that no node is differentiated twice across its calls."""
     names = tuple(names)
-    bits = {name: 1 << i for i, name in enumerate(names)}
-    step = simplify_node  # one rewrite at the root
-    operands: dict = {}  # the simplify memo for operands copied into products
-    masks: dict = {}  # id(node) -> bits of the names in it; ``e`` keeps every node alive
+    return DerivativeMemo(names).partials(e, names)
 
-    def mask(x: Expr) -> int:
-        m = masks.get(id(x))
-        if m is None:
-            if isinstance(x, Var):
-                m = bits.get(x.name, 0)
-            elif isinstance(x, Num):
-                m = 0
-            elif isinstance(x, Call):
-                m = 0
-                for a in x.args:
-                    m |= mask(a)
-            elif isinstance(x, Neg):
-                m = mask(x.arg)
-            elif isinstance(x, Pow):
-                m = mask(x.base)
-            else:
-                m = mask(x.left) | mask(x.right)
-            masks[id(x)] = m
-        return m
 
-    def along(var: str | None, bit: int, free: Callable[[Expr], Expr] | None):
-        """The derivative along ``var``; ``free``, when given, differentiates
-        the subtrees that do not contain it."""
-        derivs: dict = {}  # id(node) -> derivative
+class DerivativeMemo:
+    """The memo of :func:`classical_partials` kept over the calls of one
+    build: the Exprs it differentiates may contain each other or each other's
+    partials (a prolongation's level a + 1 contains level a), and every node
+    is differentiated once along each name. It holds the bits of ``names``,
+    the names in each node, the simplify memo of the operands (which
+    :meth:`simplify` shares) and one derivative memo per name, and it keeps
+    every Expr given to it alive, so that the ids it is keyed by stay valid;
+    it dies with the build that made it.
 
-        def d(x: Expr) -> Expr:
-            hit = derivs.get(id(x))
-            if hit is not None:
-                return hit
-            if free is not None and not mask(x) & bit:
-                out: Expr = free(x)
-            elif isinstance(x, Num):
-                out = Num(0.0)
-            elif isinstance(x, Var):
-                out = Num(1.0 if x.name == var else 0.0)
-            elif isinstance(x, Call):
-                if mask(x) & bit:
-                    raise DomainError(
-                        f"classical_partial cannot differentiate through {x.fn}(...) in {var!r}")
-                out = Num(0.0)
-            elif isinstance(x, Neg):
-                out = step(Neg(d(x.arg)))
-            elif isinstance(x, Add):
-                out = step(Add(d(x.left), d(x.right)))
-            elif isinstance(x, Sub):
-                out = step(Sub(d(x.left), d(x.right)))
-            elif isinstance(x, (Mul, Div)):
-                dl, dr = d(x.left), d(x.right)
-                left, right = _simplify(x.left, operands), _simplify(x.right, operands)
-                if isinstance(x, Mul):
-                    out = step(Add(step(Mul(dl, right)), step(Mul(left, dr))))
+    In the product and quotient rules, a factor whose derivative is a zero
+    Num fixes the result, and the nodes that simplification would drop are
+    not built."""
+
+    def __init__(self, names: Sequence[str]):
+        bits = {name: 1 << i for i, name in enumerate(names)}
+        masks: dict = {}  # id(node) -> bits of the names in it
+        self._operands = operands = {}  # the simplify memo of the operands and of simplify
+        along_names: dict = {}  # name -> its derivative function, with its memo
+        self._roots: list = []  # every Expr differentiated, keeping the ids above valid
+
+        def mask(x: Expr) -> int:
+            m = masks.get(id(x))
+            if m is None:
+                if isinstance(x, Var):
+                    m = bits.get(x.name, 0)
+                elif isinstance(x, Num):
+                    m = 0
+                elif isinstance(x, Call):
+                    m = 0
+                    for a in x.args:
+                        m |= mask(a)
+                elif isinstance(x, Neg):
+                    m = mask(x.arg)
+                elif isinstance(x, Pow):
+                    m = mask(x.base)
                 else:
-                    num = step(Sub(step(Mul(dl, right)), step(Mul(left, dr))))
-                    out = step(Div(num, step(Pow(right, 2.0))))
-            elif isinstance(x, Pow):
-                inner = d(x.base)
-                base = _simplify(x.base, operands)
-                scale = step(Mul(Num(x.exponent), step(Pow(base, x.exponent - 1.0))))
-                out = step(Mul(scale, inner))
-            else:
-                raise TypeError(f"not an Expr: {x!r}")
-            derivs[id(x)] = out
-            return out
+                    m = mask(x.left) | mask(x.right)
+                masks[id(x)] = m
+            return m
 
-        return d
+        def along(var: str | None, bit: int, free: Callable[[Expr], Expr] | None):
+            """The derivative along ``var``; ``free``, when given, differentiates
+            the subtrees that do not contain it."""
+            derivs: dict = {}  # id(node) -> derivative
+            step = simplify_node  # one rewrite at the root
 
-    # with one name nothing is shared, and testing each node would only cost
-    nowhere = along(None, 0, None) if len(names) > 1 else None
-    return tuple(along(var, bits[var], nowhere)(e) for var in names)
+            def d(x: Expr) -> Expr:
+                hit = derivs.get(id(x))
+                if hit is not None:
+                    return hit
+                if free is not None and not mask(x) & bit:
+                    out: Expr = free(x)
+                elif isinstance(x, Num):
+                    out = Num(0.0)
+                elif isinstance(x, Var):
+                    out = Num(1.0 if x.name == var else 0.0)
+                elif isinstance(x, Call):
+                    if mask(x) & bit:
+                        raise DomainError(
+                            f"classical_partial cannot differentiate through {x.fn}(...) in {var!r}")
+                    out = Num(0.0)
+                elif isinstance(x, Neg):
+                    out = step(Neg(d(x.arg)))
+                elif isinstance(x, Add):
+                    out = step(Add(d(x.left), d(x.right)))
+                elif isinstance(x, Sub):
+                    out = step(Sub(d(x.left), d(x.right)))
+                elif isinstance(x, (Mul, Div)):
+                    dl, dr = d(x.left), d(x.right)
+                    left, right = _simplify(x.left, operands), _simplify(x.right, operands)
+                    rule = _product_rule if isinstance(x, Mul) else _quotient_rule
+                    out = rule(left, right, dl, dr)
+                elif isinstance(x, Pow):
+                    inner = d(x.base)
+                    base = _simplify(x.base, operands)
+                    scale = step(Mul(Num(x.exponent), step(Pow(base, x.exponent - 1.0))))
+                    out = step(Mul(scale, inner))
+                else:
+                    raise TypeError(f"not an Expr: {x!r}")
+                derivs[id(x)] = out
+                return out
+
+            return d
+
+        def derivative(var: str):
+            d = along_names.get(var)
+            if d is None:
+                d = along_names[var] = along(var, bits[var], nowhere)
+            return d
+
+        # with one name nothing is shared, and testing each node would only cost
+        nowhere = along(None, 0, None) if len(bits) > 1 else None
+        self._derivative = derivative
+
+    def partials(self, e: Expr, names: Sequence[str]) -> tuple[Expr, ...]:
+        """The classical partials of ``e`` along each of ``names``, which must
+        be names this memo was made for: :func:`classical_partials`, with the
+        derivatives taken in earlier calls reused."""
+        self._roots.append(e)
+        return tuple(self._derivative(var)(e) for var in names)
+
+    def simplify(self, e: Expr) -> Expr:
+        """:func:`simplify`, through the memo that simplifies the operands
+        of the partials."""
+        return _simplify(e, self._operands)
+
+
+def _is_zero(e: Expr) -> bool:
+    return isinstance(e, Num) and e.value == 0.0
+
+
+def _product_rule(left: Expr, right: Expr, dl: Expr, dr: Expr) -> Expr:
+    """The simplified ``dl*right + left*dr``, that is
+    ``step(Add(step(Mul(dl, right)), step(Mul(left, dr))))`` for ``step`` =
+    :func:`simplify_node`, without the nodes whose result a zero Num ``dl``
+    or ``dr`` already fixes: a zero ``dl`` makes the first product
+    ``Num(0.0)``, which the sum drops, and a zero ``dr`` makes the second a
+    zero Num, which the sum keeps only when the first is a zero Num too (it
+    is ``dr`` itself, signed, when ``left`` is ``Num(1.0)``)."""
+    if _is_zero(dl):
+        return simplify_node(Mul(left, dr))
+    first = simplify_node(Mul(dl, right))
+    if _is_zero(dr):
+        return simplify_node(Mul(left, dr)) if _is_zero(first) else first
+    return simplify_node(Add(first, simplify_node(Mul(left, dr))))
+
+
+def _quotient_rule(left: Expr, right: Expr, dl: Expr, dr: Expr) -> Expr:
+    """The simplified ``(dl*right - left*dr) / right^2``, each node simplified
+    as it is built, without ``left*dr`` and the difference when ``dr`` is a
+    zero Num: that product is then a zero Num, which the difference drops."""
+    num = simplify_node(Mul(dl, right))
+    if not _is_zero(dr):
+        num = simplify_node(Sub(num, simplify_node(Mul(left, dr))))
+    return simplify_node(Div(num, simplify_node(Pow(right, 2.0))))
 
 
 def partial_terms(f, names: Sequence[str], order: float | None) -> list[list[Term]]:
     """The terms that expanding each partial's Expr gives, one list per name
     of ``names``: the reviewed order-``order`` partials of the collected
-    terms ``f``, or for ``order=None`` the classical partials of the Expr
-    ``f``, taken in one pass of :func:`classical_partials`."""
-    if order is None:
-        return [expand_terms(d) for d in classical_partials(f, names)]
-    return [fold_terms(frac_partial_terms(f, var, order)) for var in names]
+    terms ``f``; or, for ``order=None``, the classical partials of the Expr
+    ``f``, taken in one pass of :func:`classical_partials`, or of the printed
+    term sum ``f`` (a list or tuple of terms), taken term by term by the
+    power rule (:func:`_classical_partial_terms`)."""
+    if order is not None:
+        return [fold_terms(frac_partial_terms(f, var, order)) for var in names]
+    if isinstance(f, (list, tuple)):
+        return _classical_partial_terms(f, names)
+    return [expand_terms(d) for d in classical_partials(f, names)]
+
+
+def _classical_partial_terms(terms: Sequence[Term], names: Sequence[str]) -> list[list[Term]]:
+    """``[expand_terms(d) for d in classical_partials(terms_to_expr(terms),
+    names)]``, term by term and without printing the monomials.
+
+    The classical partial of the printed sum is the sum of the partials of its
+    printed terms, left to right, and expanding distributes over it; only
+    partials that are numbers fold together, and only while no other partial
+    has come. A monomial ``c * v^p * (others)`` differentiates by the power
+    rule to the one term that expanding its printed partial gives,
+    ``c p v^(p-1)``, or the number ``c`` for ``c v``; a term with an opaque
+    factor takes the Expr route, through one :class:`DerivativeMemo`. The
+    first DomainError is the one of the printed sum: printing first, then
+    names in order and terms left to right."""
+    pieces = []  # (folded coefficient, term, printed term for opaque ones)
+    for t in terms:
+        c = t.coeff.value()
+        if c != 0.0:
+            pieces.append((c, t, terms_to_expr((t,)) if t.others else None))
+    memo = DerivativeMemo(names) if any(e is not None for *_, e in pieces) else None
+    out = []
+    for var in names:
+        found: list[Term] = []
+        lead: float | None = 0.0  # the sum of the leading partials that are numbers
+        for c, t, e in pieces:
+            if e is not None:
+                (d,) = memo.partials(e, (var,))
+                d = d.value if isinstance(d, Num) else expand_terms(d)
+            else:
+                p = t.power_of(var)
+                if p == 0.0:
+                    continue
+                if p != 1.0:
+                    d = [Term(GammaProduct.of(c * p), tuple(
+                        (n, q - 1.0 if n == var else q) for n, q in t.powers))]
+                elif len(t.powers) > 1:
+                    d = [Term(GammaProduct.of(c), tuple(nq for nq in t.powers if nq[0] != var))]
+                else:
+                    d = c
+            if isinstance(d, list):
+                if lead:
+                    found.append(Term(GammaProduct.of(lead)))
+                lead = None
+                found += d
+            elif lead is None:
+                if d != 0.0:
+                    found.append(Term(GammaProduct.of(d)))
+            elif lead == 0.0:
+                lead = d
+            elif d != 0.0:
+                lead = _folded(lead + d).value
+        if lead:
+            found.append(Term(GammaProduct.of(lead)))
+        out.append(found)
+    return out

@@ -39,19 +39,18 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .expr import (
+    DerivativeMemo,
     Expr,
     Mul,
     Pow,
     Term,
     Var,
-    classical_partials,
     collect_terms,
     compile_exprs,
     frac_partial_terms,
     free_vars,
     negate_terms,
     normalize_terms,
-    simplify,
     simplify_node,
     term_frac_partial,
     terms_to_expr,
@@ -136,7 +135,8 @@ class ChartMap:
 
 
 def weighted_jacobian_exprs(
-    components: tuple[Expr, ...], source_vars: tuple[str, ...], alpha: float
+    components: tuple[Expr, ...], source_vars: tuple[str, ...], alpha: float,
+    memo: DerivativeMemo | None = None,
 ) -> list[list[Expr]]:
     """Symbolic matrix of the weighted Jacobian
     entry[i][j] = components[i]^(alpha-1) * d components[i]/d source_vars[j]
@@ -145,13 +145,17 @@ def weighted_jacobian_exprs(
     Works for any expressions whose classical partials exist in the language;
     fractional weights make sense on the positive orthant only. Entries are
     simplified; each component is simplified once and differentiated along
-    every source variable in one pass of :func:`classical_partials`.
+    every source variable in one pass, all through one
+    :class:`~fracosc.expr.DerivativeMemo`: ``memo``, the memo of a build that
+    differentiates Exprs sharing nodes, such as the levels of a prolongation,
+    or else a new one.
     """
+    memo = DerivativeMemo(source_vars) if memo is None else memo
     out: list[list[Expr]] = []
     for comp in components:
-        weight = simplify_node(Pow(simplify(comp), alpha - 1.0))
+        weight = simplify_node(Pow(memo.simplify(comp), alpha - 1.0))
         row = []
-        for v, d in zip(source_vars, classical_partials(comp, source_vars)):
+        for v, d in zip(source_vars, memo.partials(comp, source_vars)):
             scaled = simplify_node(Mul(weight, d))
             row.append(simplify_node(Mul(scaled, simplify_node(Pow(Var(v), 1.0 - alpha)))))
         out.append(row)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference_builders as ref
-from fracosc import bundle
+from fracosc import bundle, expr, geometry
 from fracosc.bundle import (
     BundleField,
     BundleSpec,
@@ -203,6 +203,57 @@ def test_prolongation_equals_the_tree_reference_at_n3_k3(comps):
     names = spec.all_names(2)
     assert repr(weighted_jacobian_exprs(levels[2], names, 0.45)) == repr(
         ref.weighted_jacobian_exprs(levels[2], names, 0.45))
+
+
+#: the monomial atlases of the benchmark: (a, b, c, d, e) is the chart
+#: x -> (x1^a, x1^b x2^c, x1^e x3^d), printed as the benchmark prints it
+ATLASES = [(2.0, 1.0, 1.0, 1.0, 0.5), (3.0, 0.5, 2.0, 2.0, 1.0), (1.5, 2.0, 1.0, 1.0, 1.0)]
+
+
+def _atlas_chart(variant, n):
+    a, b, c, d, e = ATLASES[variant]
+    comps = (f"1.0*x1^{a!r}", f"1.0*x1^{b!r}*x2^{c!r}", f"1.0*x1^{e!r}*x3^{d!r}")
+    return ChartMap(tuple(parse(t) for t in comps[:n]))
+
+
+@pytest.mark.parametrize("variant,n,k", [(0, 2, 4), (1, 3, 3), (2, 3, 3)],
+                         ids=["atlas0-n2k4", "atlas1-n3k3", "atlas2-n3k3"])
+def test_prolongation_equals_the_tree_reference_at_the_benchmark_depths(variant, n, k):
+    # the deepest shapes the benchmark prolongs; at k = 4 one derivative memo
+    # spans four levels (the tree reference takes seconds there)
+    cm = _atlas_chart(variant, n)
+    spec = BundleSpec(n, k, 0.45)
+    levels = jet_transform(cm, spec)
+    assert repr(levels) == repr(ref.jet_transform(cm, spec))
+    names = spec.all_names(k - 1)
+    assert repr(weighted_jacobian_exprs(levels[k - 1], names, 0.45)) == repr(
+        ref.weighted_jacobian_exprs(levels[k - 1], names, 0.45))
+
+
+#: the most simplify_node calls a prolongation at alpha = 0.45 may make, by
+#: (atlas, n, k): 5 % over the 3122, 1452, 1555 and 1451 calls of one memo over
+#: all levels with the zero-factor rules. A memo per level takes 4047, 1676,
+#: 1845 and 1675 calls; the full rules, 4756, 2072, 2229 and 2069; a memo per
+#: classical_partials call with the full rules, 6729, 2590, 2868 and 2587.
+SIMPLIFY_BOUNDS = {(0, 2, 4): 3279, (0, 3, 3): 1525, (1, 3, 3): 1633, (2, 3, 3): 1524}
+
+
+@pytest.mark.parametrize("shape", list(SIMPLIFY_BOUNDS),
+                         ids=["atlas0-n2k4", "atlas0-n3k3", "atlas1-n3k3", "atlas2-n3k3"])
+def test_prolongation_simplifies_each_node_once_per_build(monkeypatch, shape):
+    # a deterministic work count: a memo lost between levels fails it at once
+    calls = []
+    step = expr.simplify_node
+
+    def counting(e):
+        calls.append(None)
+        return step(e)
+
+    for module in (expr, geometry, bundle):
+        monkeypatch.setattr(module, "simplify_node", counting)
+    variant, n, k = shape
+    jet_transform(_atlas_chart(variant, n), BundleSpec(n, k, 0.45))
+    assert 0 < len(calls) <= SIMPLIFY_BOUNDS[shape]
 
 
 def test_prolongation_is_built_once_per_chart_and_spec():

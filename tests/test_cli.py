@@ -1,6 +1,7 @@
 """CLI and config-file behaviour: exit codes, file formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _reference_builders as ref
 from fracosc import cli
@@ -548,6 +550,24 @@ def _rows(text):
 
 def _line(values):
     return ",".join(repr(float(v)) for v in values)
+
+
+#: cells whose repr a CSV row must keep: signed zeros, nan, infinities,
+#: subnormals, and floats on both sides of repr's switch of notation
+_CELLS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e16, -1e16,
+          9.999e-5, 1e-4, 0.1, 1.0 / 3.0, -123456.789]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([0, 1, 63, 64, 65, 1023, 1024, 1025]), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(), max_size=6))
+def test_csv_blocks_equal_the_per_row_repr(width, length, seed, drawn):
+    # columns as the solver hands them on: strided views of one array
+    table = np.random.default_rng(seed).choice(np.array(_CELLS + drawn), size=(length, width))
+    data = list(table.T)
+    text = "".join(cli._csv({"k": 1}, [f"c{i}" for i in range(width)], data))
+    want = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in data))]
+    assert text.split("\n")[3:] == want + [""]  # every row ends in a newline
 
 
 def test_deriv_rows_are_the_repr_of_each_pointwise_value(capsys):

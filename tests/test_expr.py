@@ -1,5 +1,6 @@
 """Tests for the expression language: grammar, printing, partials, ledger."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 import _reference_builders as ref
 from fracosc.errors import DomainError, EvalError, ParseError
 from fracosc.expr import (
-    FALLBACK_STEP, Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
-    classical_partial, classical_partials, collect_terms, compile_exprs, evaluate, expand_terms,
-    fold_terms, frac_partial, frac_partial_at, frac_partial_terms, free_vars, multiply_terms,
-    normal_form, normalize_terms, parse, scale_terms, simplify, term_frac_partial,
-    terms_to_expr, to_str,
+    FALLBACK_STEP, Add, Call, DerivativeMemo, Div, Mul, Neg, Num, Pow, Sub, Var, _product_rule,
+    _quotient_rule, classical_partial, classical_partials, collect_terms, compile_exprs, evaluate,
+    expand_terms, fold_terms, frac_partial, frac_partial_at, frac_partial_terms, free_vars,
+    multiply_terms, normal_form, normalize_terms, parse, partial_terms, scale_terms, simplify,
+    simplify_node, term_frac_partial, terms_to_expr, to_str,
 )
 from fracosc.gammaledger import GammaProduct
 from fracosc.series import FracSeries, frac_derive
@@ -431,6 +432,95 @@ def test_builders_are_linear_in_the_shared_dag():
     # not printed or compared: either walks all 2^40 paths of the unfolded tree
     dx, dy, dz = classical_partials(e, ("x", "y", "z"))
     assert simplify(dx) is dx and simplify(dy) is dy and dz == Num(0.0)
+
+
+#: simplified operands and partials: signed zeros, one, and a fold that overflows
+_OPERANDS = [Num(0.0), Num(-0.0), Num(1.0), Num(2.0), Num(1e308), Var("x"), Neg(Var("x")),
+             Mul(Num(3.0), Var("y"))]
+
+
+def test_zero_factor_rules_equal_the_full_simplified_rules():
+    # the shortcuts build no node whose result a zero partial fixes, and
+    # return what simplifying every node of the full rule returns
+    step = simplify_node
+    for left, right, dl, dr in itertools.product(_OPERANDS, repeat=4):
+        assert _built(_product_rule, left, right, dl, dr) == _built(
+            lambda: step(Add(step(Mul(dl, right)), step(Mul(left, dr)))))
+        assert _built(_quotient_rule, left, right, dl, dr) == _built(
+            lambda: step(Div(step(Sub(step(Mul(dl, right)), step(Mul(left, dr)))),
+                             step(Pow(right, 2.0)))))
+    # the skipped product decides the sign: 1.0 * -0.0 after a product that folds to 0.0
+    for dl, right in ((Num(0.0), Var("x")), (Var("x"), Num(0.0))):
+        assert repr(_product_rule(Num(1.0), right, dl, Num(-0.0))) == repr(Num(-0.0))
+
+
+def _grow_chain(e, partials):
+    """The next Expr of a chain: ``e`` and its partials in one Expr, as a
+    prolongation's level a + 1 holds level a and its partials."""
+    d = partials[0]
+    return Add(Mul(e, d), Sub(partials[-1], Pow(e, 2.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, st.lists(st.sampled_from([("x",), ("x", "y"), ("y", "z", "x")]),
+                        min_size=1, max_size=3))
+def test_one_memo_over_a_chain_equals_fresh_partials(e, steps):
+    # level by level, as a prolongation differentiates: each Expr contains the
+    # previous one and its partials, and one memo serves the whole chain
+    assume(_tree_size(e) <= 40)
+    memo = DerivativeMemo(("x", "y", "z"))
+    for names in steps:
+        want = _built(classical_partials, e, names)
+        assert _built(memo.partials, e, names) == want
+        if want.startswith("DomainError"):
+            break
+        e = _grow_chain(e, memo.partials(e, names))
+        if _tree_size(e) > 3000:  # repr walks the unfolded tree
+            break
+
+
+#: factors of the monomials of a term sum: ledgers, and opaque factors that
+#: hold a differentiated name or not, or fail along it
+_FACTORS = [None, parse("gamma(2.5)"), parse("(y + 2)^-1"), parse("(x + y)^0.5"),
+            parse("gamma(z)"), parse("1/(z + 1)"), parse("gamma(x)")]
+
+
+def _monomial(c, powers, factor):
+    e = Num(c)
+    for name, p in powers.items():
+        e = Mul(e, Var(name) if p == 1.0 else Pow(Var(name), p))
+    return e if factor is None else Mul(e, factor)
+
+
+#: coefficients that cancel, fold, and overflow when the linear terms fold
+_coefficients = st.sampled_from([1.0, -1.0, 2.0, 0.5, -0.5, 3.0, 1e308])
+_monomials = st.builds(
+    _monomial, _coefficients,
+    st.dictionaries(st.sampled_from(["x", "y", "z"]),
+                    st.sampled_from([1.0, 1.0, 2.0, 0.5, -1.0, 3.0, 1.5]), max_size=2),
+    st.sampled_from(_FACTORS))
+#: terms linear in one name, whose partials are numbers that fold while they lead
+_linear = st.builds(lambda c, v, f: _monomial(c, {v: 1.0}, f), _coefficients,
+                    st.sampled_from(["x", "y", "z"]), st.sampled_from([None, parse("gamma(2.5)")]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_linear, max_size=3), st.lists(_monomials, max_size=6),
+       st.sampled_from([("x", "y", "z"), ("z", "x")]))
+def test_classical_partial_terms_equal_the_expanded_partial_of_the_printed_sum(
+        linear, monos, names):
+    # the power rule on a folded term sum, with opaque terms on the Expr route,
+    # gives what printing the sum, differentiating and expanding gives
+    try:
+        terms = fold_terms([t for e in linear + monos for t in expand_terms(e)])
+    except DomainError:
+        assume(False)
+    want = [_built(lambda v=v: expand_terms(classical_partial(terms_to_expr(terms), v)))
+            for v in names]
+    errors = [w for w in want if w.startswith("DomainError")]
+    got = _built(partial_terms, terms, names, None)
+    assert got == (errors[0] if errors else f"[{', '.join(want)}]")
+    assert _built(partial_terms, tuple(terms), names, None) == got
 
 
 # ------------------------------- compiled evaluator against the tree walk

@@ -282,18 +282,16 @@ def spray_derivation(spec: BundleSpec, G: tuple[Expr, ...]):
     if len(G) != spec.n:
         raise DomainError(f"spray needs {spec.n} coefficient expressions")
     G_terms = [expand_terms(g) for g in G]
-    return lambda f: terms_to_expr(collect_terms(
-        _spray_terms(spec, G_terms, f, normalize_terms(f))))
+    return lambda f: terms_to_expr(collect_terms(_spray_terms(spec, G_terms, normalize_terms(f))))
 
 
-def _spray_terms(spec: BundleSpec, G_terms, f, f_terms) -> list[Term]:
+def _spray_terms(spec: BundleSpec, G_terms, f: tuple[Term, ...]) -> list[Term]:
     """The terms of S(f), uncollected, for G given by its expanded entries
-    and f by its collected terms and by what its classical partials take
-    (:func:`partial_terms`): its Expr, or the folded terms it prints."""
+    and f by its collected terms."""
     alpha, n, k = spec.alpha, spec.n, spec.k
     # partials along level b - 1 for the rung b; the classical ones, along
     # the fibre levels 1..k, are taken in one pass
-    rungs = partial_terms(f_terms, spec.level_names(0), alpha)
+    rungs = partial_terms(f, spec.level_names(0), alpha)
     rungs += partial_terms(f, spec.all_names()[n:], None)
     out = []
     for b in range(1, k + 1):
@@ -536,17 +534,16 @@ def spray_to_dual(spec: BundleSpec, G: tuple[Expr, ...]) -> DualCoefficients:
     with S the spray derivation (fractional along the base, classical along
     the fibres)."""
     n, alpha = spec.n, spec.alpha
+    G_terms = [expand_terms(g) for g in G]
     levels = [_fold_matrix([
-        [collect_terms(d) for d in partial_terms(G[i], spec.level_names(1), None)]
-        for i in range(n)])]
+        [collect_terms(d) for d in partial_terms(collect_terms(g), spec.level_names(1), None)]
+        for g in G_terms])]
     M1_terms = levels[0][1]
-    G_terms = [expand_terms(g) for g in G] if spec.k > 1 else []  # S runs for k > 1 only
     for a in range(1, spec.k):
         scale = gamma(alpha * a) / gamma(alpha * (a + 1))
         prev = levels[-1][1]
-        derived = [[fold_terms(collect_terms(_spray_terms(
-                        spec, G_terms, prev[i][j], collect_terms(prev[i][j]))))
-                    for j in range(n)] for i in range(n)]
+        derived = [[fold_terms(collect_terms(_spray_terms(spec, G_terms, collect_terms(f))))
+                    for f in row] for row in prev]
         correction = _mat_mul(M1_terms, prev, n)
         levels.append(_fold_matrix([
             [collect_terms(scale_terms(scale, derived[i][j] + correction[i][j]))

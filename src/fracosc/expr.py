@@ -30,8 +30,9 @@ The geometry builders combine such term sums (:func:`expand_terms` each input
 once, then :func:`multiply_terms`, :func:`scale_terms`, :func:`negate_terms`,
 :func:`frac_partial_terms`, concatenation, :func:`collect_terms`) and print
 each result once with :func:`terms_to_expr`; :func:`fold_terms` stands in for
-printing a piece and expanding it again, and :func:`partial_terms` for
-printing a partial, order-alpha or classical, and expanding it again.
+printing a piece and expanding it again. :func:`partial_terms` is the one
+partial of every term builder, order-alpha or classical, taken on the terms
+of a collected sum.
 
 Expressions built once are read at many points through :func:`compile_exprs`:
 the distinct nodes of a tuple of Exprs laid out once in post-order, one slot
@@ -40,14 +41,15 @@ graph, Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 2).
 :func:`evaluate` is its one-point call; its grid entry runs the same list once
 over arrays of points, with the same bits at each point.
 
-Classical partials of one Expr along several variables are one pass of
+Classical partials of Exprs, by the product and quotient rules, serve the
+chart prolongations, whose levels are Exprs, and the terms with an opaque
+factor. Those of one Expr along several variables are one pass of
 :func:`classical_partials` (vector mode, ibid., ch. 3): it costs one walk
 over the shared DAG plus, per variable, the distinct nodes that contain it.
 :func:`classical_partial` is its one-variable call. A build whose Exprs
 contain each other's partials, as the levels of a prolongation do, keeps one
 :class:`DerivativeMemo` for all of them, so that each node is differentiated
-once per build. A printed term sum is differentiated on its terms by the
-power rule (:func:`partial_terms`), without printing it.
+once per build.
 
 The fractional partial derivative along ``var`` follows the reviewed
 power-rule convention: terms free of ``var`` are annihilated, exponents in
@@ -842,7 +844,7 @@ def collect_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
             GammaProduct(prev.coeff.factor + t.coeff.factor, t.coeff.ledger),
             t.powers, t.others)
     # a stable sort keeps the ledgers of one key in the order they first came
-    ordered = sorted(groups.items(), key=lambda item: repr(item[0][0]))
+    ordered = sorted(groups.items(), key=lambda item: item[0][0])
     return tuple(t for _, t in ordered if not t.coeff.is_zero)
 
 
@@ -1153,71 +1155,35 @@ def _quotient_rule(left: Expr, right: Expr, dl: Expr, dr: Expr) -> Expr:
     return simplify_node(Div(num, simplify_node(Pow(right, 2.0))))
 
 
-def partial_terms(f, names: Sequence[str], order: float | None) -> list[list[Term]]:
-    """The terms that expanding each partial's Expr gives, one list per name
-    of ``names``: the reviewed order-``order`` partials of the collected
-    terms ``f``; or, for ``order=None``, the classical partials of the Expr
-    ``f``, taken in one pass of :func:`classical_partials`, or of the printed
-    term sum ``f`` (a list or tuple of terms), taken term by term by the
-    power rule (:func:`_classical_partial_terms`)."""
-    if order is not None:
-        return [fold_terms(frac_partial_terms(f, var, order)) for var in names]
-    if isinstance(f, (list, tuple)):
-        return _classical_partial_terms(f, names)
-    return [expand_terms(d) for d in classical_partials(f, names)]
+def partial_terms(terms: Sequence[Term], names: Sequence[str],
+                  order: float | None) -> list[list[Term]]:
+    """The partials of the collected term sum ``terms``, one folded term list
+    per name of ``names``: the reviewed order-``order`` partials, or for
+    ``order=None`` the classical ones (:func:`_classical_partial_terms`).
+    Every term builder takes its partials here."""
+    if order is None:
+        return _classical_partial_terms(terms, names)
+    return [fold_terms(frac_partial_terms(terms, var, order)) for var in names]
 
 
 def _classical_partial_terms(terms: Sequence[Term], names: Sequence[str]) -> list[list[Term]]:
-    """``[expand_terms(d) for d in classical_partials(terms_to_expr(terms),
-    names)]``, term by term and without printing the monomials.
-
-    The classical partial of the printed sum is the sum of the partials of its
-    printed terms, left to right, and expanding distributes over it; only
-    partials that are numbers fold together, and only while no other partial
-    has come. A monomial ``c * v^p * (others)`` differentiates by the power
-    rule to the one term that expanding its printed partial gives,
-    ``c p v^(p-1)``, or the number ``c`` for ``c v``; a term with an opaque
-    factor takes the Expr route, through one :class:`DerivativeMemo`. The
-    first DomainError is the one of the printed sum: printing first, then
-    names in order and terms left to right."""
-    pieces = []  # (folded coefficient, term, printed term for opaque ones)
-    for t in terms:
-        c = t.coeff.value()
-        if c != 0.0:
-            pieces.append((c, t, terms_to_expr((t,)) if t.others else None))
+    """The classical partials of a term sum, term by term: a monomial
+    ``c * v^p * ...`` gives ``c p v^(p-1) * ...`` with ``c`` folded, and a
+    term with an opaque factor is printed once and differentiated on the
+    Expr route, through one :class:`DerivativeMemo` for the call. Every
+    coefficient is folded and every opaque term printed before any partial
+    is taken; then names go in order and terms left to right, so the first
+    DomainError is the one of the printed sum."""
+    pieces = [(t.coeff.value(), t, terms_to_expr((t,)) if t.others else None) for t in terms]
     memo = DerivativeMemo(names) if any(e is not None for *_, e in pieces) else None
     out = []
     for var in names:
         found: list[Term] = []
-        lead: float | None = 0.0  # the sum of the leading partials that are numbers
         for c, t, e in pieces:
             if e is not None:
-                (d,) = memo.partials(e, (var,))
-                d = d.value if isinstance(d, Num) else expand_terms(d)
-            else:
-                p = t.power_of(var)
-                if p == 0.0:
-                    continue
-                if p != 1.0:
-                    d = [Term(GammaProduct.of(c * p), tuple(
-                        (n, q - 1.0 if n == var else q) for n, q in t.powers))]
-                elif len(t.powers) > 1:
-                    d = [Term(GammaProduct.of(c), tuple(nq for nq in t.powers if nq[0] != var))]
-                else:
-                    d = c
-            if isinstance(d, list):
-                if lead:
-                    found.append(Term(GammaProduct.of(lead)))
-                lead = None
-                found += d
-            elif lead is None:
-                if d != 0.0:
-                    found.append(Term(GammaProduct.of(d)))
-            elif lead == 0.0:
-                lead = d
-            elif d != 0.0:
-                lead = _folded(lead + d).value
-        if lead:
-            found.append(Term(GammaProduct.of(lead)))
+                found += expand_terms(memo.partials(e, (var,))[0])
+            elif c != 0.0 and (p := t.power_of(var)) != 0.0:
+                found.append(Term(GammaProduct.of(c * p), tuple(
+                    (n, q - 1.0 if n == var else q) for n, q in t.powers if n != var or q != 1.0)))
         out.append(found)
     return out

@@ -12,8 +12,11 @@ with the jet total derivative applied once per order,
 
 Both derivative semantics are supported: ``mode="fractional"`` takes every
 partial in the reviewed order-alpha sense, ``mode="classical"`` takes ordinary
-partials; a mode resolves once to the order, alpha or None, that every partial
-takes through :func:`fracosc.expr.partial_terms`. The residual involves jet
+partials. Either way L is expanded once into its collected terms, and a mode
+resolves once to the order, alpha or None, that every partial of those term
+sums takes through :func:`fracosc.expr.partial_terms`: classical mode
+differentiates term sums by the power rule as fractional mode does by the
+reviewed one. The residual involves jet
 variables one level past k (the y^{(k+1)} introduced by d_t), so numeric
 evaluation expects overshoot jet points.
 
@@ -76,7 +79,6 @@ from .expr import (
     Sub,
     Term,
     Var,
-    classical_partials,
     collect_terms,
     compile_exprs,
     expand_terms,
@@ -124,25 +126,12 @@ def _order(spec: BundleSpec, mode: str) -> float | None:
     return spec.alpha if mode == "fractional" else None
 
 
-def _source(f: Expr, order):
-    """``f`` in the form the partials of ``order`` take: its collected terms
-    for fractional partials, the Expr itself for classical ones."""
-    return f if order is None else normalize_terms(f)
-
-
-def _derive(f, names, order):
-    """The partials of ``f`` along ``names``, again in :func:`_source` form."""
-    if order is None:
-        return classical_partials(f, names)
-    return [collect_terms(d) for d in partial_terms(f, names, order)]
-
-
 def _sum(terms) -> Expr:
     return terms_to_expr(collect_terms(terms))
 
 
 def _jet_terms(spec: BundleSpec, f, order, levels: int | None = None) -> tuple[Term, ...]:
-    """Collected terms of d_t f for f in :func:`_source` form."""
+    """Collected terms of d_t f for f given by its collected terms."""
     names = spec.all_names(spec.k + 1 if levels is None else levels)
     out = []
     # the partial along the coordinate of slot r pairs with the one of slot r + n
@@ -152,37 +141,43 @@ def _jet_terms(spec: BundleSpec, f, order, levels: int | None = None) -> tuple[T
 
 
 def _dragged(spec: BundleSpec, inner, order, levels: int | None = None) -> list[Term]:
-    """The terms of d_t(inner) for inner = d_{y^{i(a)}} L in :func:`_source` form."""
-    return fold_terms(_jet_terms(spec, inner, order, levels))
+    """The terms of d_t(inner) for the terms of inner = d_{y^{i(a)}} L."""
+    return fold_terms(_jet_terms(spec, collect_terms(inner), order, levels))
 
 
 def total_jet_derivative(spec: BundleSpec, f: Expr, mode: str = "fractional") -> Expr:
     """Single application of d_t = sum_{i,b} y^{i(b)} d_{y^{i(b-1)}}, with b
     running to k+1, the overshoot needed by the Euler-Lagrange residual."""
     order = _order(spec, mode)
-    return terms_to_expr(_jet_terms(spec, _source(f, order), order))
+    return terms_to_expr(_jet_terms(spec, normalize_terms(f), order))
 
 
-def _ladder(spec: BundleSpec, L: Expr, level: int, order, weight) -> tuple[Expr, ...]:
-    """Components sum_{a=max(level,1)..k} weight(a) d_t(d_{y^{i(a)}} L), with
-    the base partial d_{x^i} L added at level 0."""
-    src = _source(L, order)
+def _ladder(spec: BundleSpec, L: Expr, level: int, order, weight) -> list[tuple[Term, ...]]:
+    """Collected terms of the components sum_{a=max(level,1)..k} weight(a)
+    d_t(d_{y^{i(a)}} L), with the base partial d_{x^i} L added at level 0."""
+    src = normalize_terms(L)
     rungs = range(max(level, 1), spec.k + 1)
     base = partial_terms(src, spec.level_names(0), order) if level == 0 else None
-    inner = iter(_derive(src, [jet_var(i, a) for i in range(spec.n) for a in rungs], order))
+    names = [jet_var(i, a) for i in range(spec.n) for a in rungs]
+    inner = iter(partial_terms(src, names, order))
     out = []
     for i in range(spec.n):
         terms = base[i] if level == 0 else []
         for a in rungs:
             terms += scale_terms(weight(a), _dragged(spec, next(inner), order))
-        out.append(_sum(terms))
-    return tuple(out)
+        out.append(collect_terms(terms))
+    return out
+
+
+def _el_terms(spec: BundleSpec, L: Expr, order) -> list[tuple[Term, ...]]:
+    """Collected terms of the Euler-Lagrange residual: the ladder at level 0
+    with the weights (-1)^a."""
+    return _ladder(spec, L, 0, order, lambda a: (-1.0) ** a)
 
 
 def el_residual(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Expr, ...]:
-    """Euler-Lagrange residual components E_i (zero along extremal jets): the
-    ladder at level 0 with the weights (-1)^a."""
-    return _ladder(spec, L, 0, _order(spec, mode), lambda a: (-1.0) ** a)
+    """Euler-Lagrange residual components E_i (zero along extremal jets)."""
+    return tuple(terms_to_expr(e) for e in _el_terms(spec, L, _order(spec, mode)))
 
 
 # ------------------------------------------------------------ covector ladder --
@@ -192,8 +187,9 @@ def craig_synge_level(spec: BundleSpec, L: Expr, level: int) -> tuple[Expr, ...]
     """Graded covector component at the given level (0..k), fractional mode."""
     if not (0 <= level <= spec.k):
         raise DomainError(f"ladder level must be in 0..{spec.k}, got {level}")
-    return _ladder(spec, L, level, spec.alpha,
-                   lambda a: (-1.0) ** a / gamma(1.0 + spec.alpha * a))
+    ladder = _ladder(spec, L, level, spec.alpha,
+                     lambda a: (-1.0) ** a / gamma(1.0 + spec.alpha * a))
+    return tuple(terms_to_expr(e) for e in ladder)
 
 
 def craig_synge_closed_form(
@@ -208,7 +204,7 @@ def craig_synge_closed_form(
     :func:`covector_gap`."""
     src = normalize_terms(L)
     below = partial_terms(src, spec.level_names(spec.k - 1), spec.alpha)
-    inner = _derive(src, spec.level_names(spec.k), spec.alpha)
+    inner = partial_terms(src, spec.level_names(spec.k), spec.alpha)
     out = []
     for i in range(spec.n):
         terms = below[i]
@@ -237,25 +233,24 @@ def covector_gap(
 def extract_spray(spec: BundleSpec, L: Expr) -> tuple[Expr, ...]:
     """Solve the fractional E_i = 0 for the overshoot variables y^{i(k+1)}.
 
-    Requires the overshoot coupling to be diagonal and structurally nonzero
-    (true for fibre-decoupled polynomial Lagrangians); returns the solved
-    expressions."""
-    E = el_residual(spec, L)
+    Requires the overshoot coupling A_ij = d E_i / d y^{j(k+1)}, read from
+    the classical partials of E's term sums, to be diagonal and structurally
+    nonzero (true for fibre-decoupled polynomial Lagrangians); returns the
+    solved expressions."""
+    E = _el_terms(spec, L, spec.alpha)
     out = []
     for i in range(spec.n):
-        for j, d in enumerate(classical_partials(E[i], spec.level_names(spec.k + 1))):
-            A_ij = normal_form(d)
-            if i == j:
-                A_ii = A_ij
-            elif A_ij != Num(0.0):
-                raise DomainError(
-                    "overshoot coupling is not diagonal; spray extraction "
-                    "supports fibre-decoupled Lagrangians only"
-                )
-        if A_ii == Num(0.0):
+        A = [terms_to_expr(collect_terms(d))
+             for d in partial_terms(E[i], spec.level_names(spec.k + 1), None)]
+        if any(a != Num(0.0) for j, a in enumerate(A) if j != i):
+            raise DomainError(
+                "overshoot coupling is not diagonal; spray extraction "
+                "supports fibre-decoupled Lagrangians only"
+            )
+        if A[i] == Num(0.0):
             raise DomainError(f"Lagrangian is degenerate along coordinate {i + 1}")
-        rest = normal_form(Sub(E[i], Mul(A_ii, Var(jet_var(i, spec.k + 1)))))
-        out.append(normal_form(Div(Neg(rest), A_ii)))
+        rest = normal_form(Sub(terms_to_expr(E[i]), Mul(A[i], Var(jet_var(i, spec.k + 1)))))
+        out.append(normal_form(Div(Neg(rest), A[i])))
     return tuple(out)
 
 
@@ -387,8 +382,9 @@ def fundamental_tensor(spec: BundleSpec, L: Expr, semantics: str = "classical"):
     fractional partials depending on ``semantics``."""
     order = _order(spec, semantics)
     ys = spec.level_names(1)
-    return tuple(tuple(_sum(scale_terms(0.5, d)) for d in partial_terms(di, ys, order))
-                 for di in _derive(_source(L, order), ys, order))
+    hessian = (partial_terms(collect_terms(d), ys, order)
+               for d in partial_terms(normalize_terms(L), ys, order))
+    return tuple(tuple(_sum(scale_terms(0.5, d)) for d in row) for row in hessian)
 
 
 def alpha_square(spec: BundleSpec, diag_entries) -> Expr:

@@ -178,7 +178,8 @@ def classical_derive(f: FracSeries) -> FracSeries:
 
 
 def semigroup_residual(f: FracSeries, alpha: float, beta: float) -> float:
-    """max |D^beta f  -  D^alpha (D^(beta-alpha) f)| over matched terms.
+    """max |D^beta f  -  D^alpha (D^(beta-alpha) f)| over clusters of
+    exponents (:func:`series_distance`).
 
     Preconditions: 0 < alpha < beta <= 1 and every exponent of f is 0 or
     >= beta (so both factorizations are admissible).
@@ -191,24 +192,18 @@ def semigroup_residual(f: FracSeries, alpha: float, beta: float) -> float:
 
 
 def series_distance(a: FracSeries, b: FracSeries) -> float:
-    """max coefficient discrepancy after matching exponents within 1e-9."""
-    worst = 0.0
-    used = [False] * len(b.pairs)
-    for c1, e1 in a.pairs:
-        hit = None
-        for j, (c2, e2) in enumerate(b.pairs):
-            if not used[j] and abs(e1 - e2) <= 1e-9:
-                hit = j
-                break
-        if hit is None:
-            worst = max(worst, abs(c1))
-        else:
-            used[hit] = True
-            worst = max(worst, abs(c1 - b.pairs[hit][0]))
-    for j, (c2, _) in enumerate(b.pairs):
-        if not used[j]:
-            worst = max(worst, abs(c2))
-    return worst
+    """max |coefficient sum of a - coefficient sum of b| over the clusters of
+    exponents of both series, a cluster being a run of sorted exponents each
+    within 1e-9 of the one before. Two exponents that rounding has split, or
+    merged, land in one cluster, so the same function to rounding is close."""
+    signed = sorted([(e, c) for c, e in a.pairs] + [(e, -c) for c, e in b.pairs])
+    worst, total, last = 0.0, 0.0, None
+    for e, c in signed:
+        if last is not None and e - last > 1e-9:
+            worst, total = max(worst, abs(total)), 0.0
+        total += c
+        last = e
+    return max(worst, abs(total))
 
 
 def leibniz_series(f1: FracSeries, f2: FracSeries, alpha: float, K: int) -> FracSeries:

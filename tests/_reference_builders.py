@@ -28,7 +28,7 @@ from fracosc.bundle import DualCoefficients, PrimalCoefficients, rung_weight
 from fracosc.errors import AccuracyError, DomainError, EvalError
 from fracosc.expr import (
     Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, _pow_value, frac_partial, free_vars,
-    normal_form,
+    normal_form, normalize_terms, terms_to_expr,
 )
 from fracosc.expr import classical_partial as lib_classical_partial
 from fracosc.lagrange import Prolongation, jet_var
@@ -440,6 +440,50 @@ def spray_to_dual(spec, G):
                   for j in range(n))
             for i in range(n)))
     return DualCoefficients(spec, tuple(mats))
+
+
+# ---------------------------------- classical partials of collected sums --
+
+#: The library differentiates classically on collected term sums, by the power
+#: rule, where the copies above differentiate the Expr by the product and
+#: quotient rules. On monomial sums both give the same monomials, with the
+#: same products of coefficients summed in another order; an opaque factor
+#: is also distributed another way (1/(z+1) stays one factor instead of a
+#: quotient rule over (z+1)^2). The two sums then agree to rounding: at a
+#: point, within this bound relative to the summed magnitudes of their terms.
+SUM_REL_TOL = 1e-14
+
+
+def _exprs(x):
+    if isinstance(x, (tuple, list)):
+        for item in x:
+            yield from _exprs(item)
+    else:
+        yield x
+
+
+def _magnitude(terms, env):
+    return sum(abs(evaluate(terms_to_expr((t,)), env)) for t in terms)
+
+
+def assert_equal_sums(got, want, keys=True):
+    """``got`` and ``want``, Exprs nested in tuples or lists of the same
+    shape, are the same sums: with ``keys``, each pair collects to the same
+    monomial keys in the same order, and at three fixed points each pair
+    evaluates within SUM_REL_TOL of the summed term magnitudes of either."""
+    got, want = list(_exprs(got)), list(_exprs(want))
+    assert len(got) == len(want)
+    pairs = [(normalize_terms(g), normalize_terms(w)) for g, w in zip(got, want)]
+    if keys:
+        for g, w in pairs:
+            assert [t.collection_key() for t in g] == [t.collection_key() for t in w]
+    names = sorted(set().union(*(free_vars(e) for e in got + want)))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        env = dict(zip(names, rng.uniform(0.5, 1.5, size=len(names))))
+        for (gt, wt), g, w in zip(pairs, got, want):
+            scale = max(_magnitude(gt, env), _magnitude(wt, env))
+            assert abs(evaluate(g, env) - evaluate(w, env)) <= SUM_REL_TOL * scale
 
 
 # ------------------------------------------- natural-frame matrices by entry --

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference_builders as ref
-from fracosc import lagrange
-from fracosc.bundle import BundleSpec, jet_lift, spray_to_dual
+from fracosc import expr, lagrange
+from fracosc.bundle import BundleSpec, jet_lift, spray_derivation, spray_to_dual
 from fracosc.errors import DomainError
 from fracosc.expr import Add, Mul, Num, Pow, Var, evaluate, normal_form, parse, to_str
 from fracosc.lagrange import (
@@ -349,10 +349,16 @@ LAGRANGIANS = (
 def test_el_builders_equal_the_expr_sum_reference(text, mode):
     spec = BundleSpec(2, 2, 0.3)
     L = parse(text)
-    _same(el_residual(spec, L, mode), ref.el_residual(spec, L, mode))
-    _same(total_jet_derivative(spec, L, mode), ref.total_jet_derivative(spec, L, mode))
+    same = _same
+    if mode == "classical" and "z" in text:
+        # the power rule keeps 1/(z + 1) one factor; the reference's quotient
+        # rule distributes it over (z + 1)^2: the same sum to rounding
+        def same(got, want):
+            ref.assert_equal_sums(got, want, keys=False)
+    same(el_residual(spec, L, mode), ref.el_residual(spec, L, mode))
+    same(total_jet_derivative(spec, L, mode), ref.total_jet_derivative(spec, L, mode))
     semantics = "fractional" if mode == "fractional" else "classical"
-    _same(fundamental_tensor(spec, L, semantics), ref.fundamental_tensor(spec, L, semantics))
+    same(fundamental_tensor(spec, L, semantics), ref.fundamental_tensor(spec, L, semantics))
     if mode == "fractional":
         for level in range(spec.k + 1):
             _same(craig_synge_level(spec, L, level), ref.craig_synge_level(spec, L, level))
@@ -409,12 +415,55 @@ def test_random_monomial_lagrangians_equal_the_expr_sum_reference(monomials, alp
             if p:
                 term = Mul(term, Pow(Var(name), p))
         L = Add(L, term)
-    for mode in ("fractional", "classical"):
+    # classical mode differentiates the collected terms of L by the power
+    # rule, the reference differentiates L's Expr: the same monomials, their
+    # products summed in another order
+    for mode, same in (("fractional", _same), ("classical", ref.assert_equal_sums)):
         try:
             want = ref.el_residual(spec, L, mode)
         except DomainError:
             with pytest.raises(DomainError):
                 el_residual(spec, L, mode)
             continue
-        _same(el_residual(spec, L, mode), want)
-        _same(fundamental_tensor(spec, L, mode), ref.fundamental_tensor(spec, L, mode))
+        same(el_residual(spec, L, mode), want)
+        same(fundamental_tensor(spec, L, mode), ref.fundamental_tensor(spec, L, mode))
+
+
+def _count_the_expr_route(monkeypatch):
+    """Lists that gain an entry per DerivativeMemo built, and per classical
+    partial of a term sum holding an opaque factor."""
+    memos, opaque = [], []
+    init, partials = expr.DerivativeMemo.__init__, expr._classical_partial_terms
+
+    def counting_init(self, names):
+        memos.append(names)
+        init(self, names)
+
+    def counting_partials(terms, names):
+        if any(t.others for t in terms):
+            opaque.append(names)
+        return partials(terms, names)
+
+    monkeypatch.setattr(expr.DerivativeMemo, "__init__", counting_init)
+    monkeypatch.setattr(expr, "_classical_partial_terms", counting_partials)
+    return memos, opaque
+
+
+@pytest.mark.parametrize("opaque_factor", ["", "/(z + 1)"], ids=["monomial", "opaque"])
+def test_classical_builders_differentiate_term_sums(monkeypatch, opaque_factor):
+    # one route for the term builders: monomial sums take the power rule and
+    # build no DerivativeMemo; a sum with an opaque factor builds one per call
+    spec = BundleSpec(2, 2, 0.3)
+    L = parse(f"0.7*x1^2*y1_1^2{opaque_factor} + x2*y2_1^2 + 1.3*y1_2^2*x1^1.5")
+    G = (parse(f"0.7*x1*y1_1^2{opaque_factor} + 0.5*y2_1^2"), parse("1.3*x2^1.5*y1_1*y2_1"))
+    memos, opaque = _count_the_expr_route(monkeypatch)
+    el_residual(spec, L, "classical")
+    fundamental_tensor(spec, L, "classical")
+    prolong_lagrange(SPEC21, parse(f"x1^2*y1_1^2{opaque_factor} + 2.0*x2*y2_1^2"))
+    spray_derivation(spec, G)(L)
+    spray_to_dual(spec, G)
+    if opaque_factor:
+        assert len(memos) == len(opaque) > 0
+    else:
+        extract_spray(BundleSpec(2, 1, 0.7), parse("x1^2*y1_1^2 + x1^2*x2^3*y2_1^2"))
+        assert memos == opaque == []

@@ -3,8 +3,9 @@ private names, only ``expr`` evaluates an Expr inside a loop, only
 ``geometry.jet_var`` spells a jet-coordinate name, only ``specfun`` calls
 the gamma functions of ``math``, only ``expr`` expands a constant into a
 term sum to scale by it, only ``expr`` turns a partial into its terms or
-takes one classical partial inside a loop, only ``gammaledger`` folds a gamma
-ledger and only ``expr`` applies the power rule, every defaulted
+takes one classical partial inside a loop, only the chart prolongation takes
+classical partials of Exprs outside ``expr``, only ``gammaledger`` folds a
+gamma ledger and only ``expr`` applies the power rule, every defaulted
 parameter is passed by some call, and a module's ``__all__`` lists only
 names the module defines."""
 
@@ -166,6 +167,33 @@ def test_no_module_calls_classical_partial_in_a_loop():
             if isinstance(loop, _LOOPS):
                 offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(loop)
                               if _called(node, "classical_partial")]
+    assert offenders == []
+
+
+#: the Expr route of classical partials (the product and quotient rules over
+#: a DAG), and the functions outside expr that may take it: the chart
+#: prolongation, whose levels are Exprs; every term builder differentiates
+#: its term sums through expr.partial_terms
+_EXPR_ROUTE = {"classical_partial", "classical_partials", "DerivativeMemo"}
+_EXPR_ROUTE_USERS = {"geometry.py": "weighted_jacobian_exprs", "bundle.py": "_prolong"}
+
+
+def test_only_the_chart_prolongation_takes_the_expr_route():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef)
+                   and f.name == _EXPR_ROUTE_USERS.get(path.name) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names} & _EXPR_ROUTE
+                if names and path.name not in _EXPR_ROUTE_USERS:
+                    offenders.append(f"{path.name}:{node.lineno} imports {sorted(names)}")
+            elif id(node) not in allowed and (getattr(node, "id", None) in _EXPR_ROUTE
+                                              or getattr(node, "attr", None) in _EXPR_ROUTE):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 

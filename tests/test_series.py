@@ -131,6 +131,18 @@ def test_semigroup_property(data):
     assert semigroup_residual(f, alpha, beta) <= 1e-12
 
 
+def test_semigroup_residual_sums_exponents_that_rounding_split():
+    # D^(beta - alpha) maps both exponents to one float, so the split path
+    # collects 10 t^3.9999999999999996 where the direct path keeps
+    # 5 t^3.999999999999999 + 5 t^4.0: the same function to rounding
+    f = FracSeries([(1.0, 4.999999999999999), (1.0, 5.0)])
+    assert semigroup_residual(f, 0.21931928355430097, 1.0) <= 1e-12
+    split = FracSeries([(5.0, 1.0 - 1e-12), (5.0, 1.0), (2.0, 2.0)])
+    assert series_distance(split, FracSeries([(10.0, 1.0), (2.0, 2.0)])) == 0.0
+    # exponents 2e-9 apart are two terms, each unmatched
+    assert series_distance(FracSeries([(3.0, 1.0)]), FracSeries([(3.0, 1.0 + 2e-9)])) == 3.0
+
+
 def test_semigroup_rejects_bad_orders():
     f = FracSeries.monomial(1.0, 2.0)
     with pytest.raises(DomainError):

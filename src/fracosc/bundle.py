@@ -84,6 +84,8 @@ from .expr import (
     simplify,
     simplify_node,
     terms_to_expr,
+    terms_to_str,
+    to_str,
 )
 from .geometry import ChartMap, jet_var, require_invertible, weighted_jacobian_exprs
 from .series import FracSeries, frac_derive
@@ -400,7 +402,13 @@ def jet_round_trip_residual(
 
 @dataclass(frozen=True)
 class _Coefficients:
-    """Connection coefficient matrices of orders b = 1..k, each n x n."""
+    """Connection coefficient matrices of orders b = 1..k, each n x n.
+
+    Coefficients given as Exprs keep them. Those made by the builders keep
+    the collected term sum of each entry instead (``sums``, laid out as
+    ``mats``) and build the Exprs only when ``mats`` or :meth:`order` is
+    read: :meth:`values_at` compiles the sums and :meth:`printed` prints
+    them, with the bits and the text of those Exprs."""
 
     spec: BundleSpec
     mats: tuple[tuple[tuple[Expr, ...], ...], ...]
@@ -417,11 +425,22 @@ class _Coefficients:
 
     @classmethod
     def _bundle(cls, spec: BundleSpec, levels):
-        """Coefficients of the :func:`_fold_matrix` pairs (Exprs, folded terms)
-        of orders 1..k, keeping the folded terms as ``terms``."""
-        out = cls(spec, tuple(mat for mat, _ in levels))
-        vars(out)["terms"] = tuple(tuple(tuple(row) for row in terms) for _, terms in levels)
+        """Coefficients of the :func:`_fold_matrix` pairs (collected sums,
+        folded terms) of orders 1..k, keeping the sums as ``sums`` and the
+        folded terms as ``terms``."""
+        out = cls.__new__(cls)
+        vars(out).update(spec=spec, sums=tuple(sums for sums, _ in levels),
+                         terms=tuple(tuple(tuple(row) for row in terms) for _, terms in levels))
         return out
+
+    def __getattr__(self, name: str):
+        # reached only for a name not set: the Exprs of builder-made coefficients
+        sums = vars(self).get("sums")
+        if name != "mats" or sums is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mats = vars(self)["mats"] = tuple(
+            tuple(tuple(terms_to_expr(c) for c in row) for row in mat) for mat in sums)
+        return mats
 
     @cached_property
     def terms(self) -> tuple:
@@ -432,11 +451,23 @@ class _Coefficients:
 
     @cached_property
     def _compiled(self):
-        return compile_exprs([e for mat in self.mats for row in mat for e in row])
+        """Every entry, order by order and row by row: the builders'
+        collected term sum, else the given Expr."""
+        sums = vars(self).get("sums")
+        mats = self.mats if sums is None else sums
+        return compile_exprs([e for mat in mats for row in mat for e in row])
 
     def values_at(self, env: dict[str, float]) -> np.ndarray:
         """All matrices at a point: ``values_at(env)[b - 1]`` is order b."""
         return np.array(self._compiled(env)).reshape(self.spec.k, self.spec.n, self.spec.n)
+
+    def printed(self, b: int) -> list[list[str]]:
+        """The entries of order b, row by row, as :func:`~fracosc.expr.to_str`
+        prints ``order(b)``."""
+        sums = vars(self).get("sums")
+        if sums is None:
+            return [[to_str(e) for e in row] for row in self.mats[b - 1]]
+        return [[terms_to_str(c) for c in row] for row in sums[b - 1]]
 
 
 class PrimalCoefficients(_Coefficients):
@@ -456,10 +487,9 @@ def _mat_mul(A, B, n: int) -> list:
 
 
 def _fold_matrix(mat) -> tuple[tuple, list]:
-    """The Expr matrix of a matrix of collected term sums, and the terms that
-    expanding each of those Exprs gives back."""
-    exprs = tuple(tuple(terms_to_expr(c) for c in row) for row in mat)
-    return exprs, [[fold_terms(c) for c in row] for row in mat]
+    """A matrix of collected term sums, and the terms that expanding the
+    Expr of each of those sums gives back."""
+    return tuple(tuple(row) for row in mat), [[fold_terms(c) for c in row] for row in mat]
 
 
 def _triangular(given, n: int, sign: float, built_left: bool) -> list:

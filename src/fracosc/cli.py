@@ -47,7 +47,7 @@ from .errors import (
 from .expr import Add, Mul, Num, Pow, Var, compile_exprs, normalize_terms, parse, to_str
 from .geometry import base_vars, jet_var
 from .lagrange import (
-    el_residual,
+    el_residual_terms,
     reference_problem_classical,
     reference_problem_fractional,
     reference_residual,
@@ -255,7 +255,7 @@ def _el_curve(cfg, sha, tol, out) -> int:
     if not len(ts):
         raise ParseError("config key 'el.grid' has no point with t > 0")
     cfg.check_all_read()
-    residual = compile_exprs(el_residual(spec, L, mode))
+    residual = compile_exprs(el_residual_terms(spec, L, mode))
     rows = residual.grid(jet_lift(curves, alpha, k + 1, ts).env())
     meta = {"alpha": repr(alpha), "k": k, "n": spec.n, "config_sha256": sha}
     cols = ["t"] + [f"residual_{i + 1}" for i in range(spec.n)]
@@ -300,14 +300,8 @@ def cmd_connection(args) -> int:
         "alpha": alpha,
         "k": k,
         "n": n,
-        "dual": {
-            str(b): [[to_str(dual.order(b)[i][j]) for j in range(n)] for i in range(n)]
-            for b in range(1, k + 1)
-        },
-        "primal": {
-            str(b): [[to_str(primal.order(b)[i][j]) for j in range(n)] for i in range(n)]
-            for b in range(1, k + 1)
-        },
+        "dual": {str(b): dual.printed(b) for b in range(1, k + 1)},
+        "primal": {str(b): primal.printed(b) for b in range(1, k + 1)},
         "metrical": {
             "L": coeff.L.tolist(),
             "C": [c.tolist() for c in coeff.C],

@@ -21,8 +21,9 @@ holds algebraically for *any* choice of N; the computed residual only carries
 the rounding of the numeric matrix inversion.
 
 The derivations are built as term sums (:mod:`fracosc.expr`): f is expanded
-once, each coefficient N is read from ``primal.terms`` and each result is
-printed once.
+once and each coefficient N is read from ``primal.terms``. The derivations
+of the metric are kept as term sums and compiled as such; ``delta_x`` and
+``delta_y`` hand their result on as an Expr.
 
 The lifted (diagonal-type) metric on the full bundle pairs the adapted
 coframe blocks with g on every level: in natural coordinates it is
@@ -43,6 +44,7 @@ from .expr import (
     Term,
     collect_terms,
     compile_exprs,
+    fold_coefficients,
     multiply_terms,
     negate_terms,
     normal_form,
@@ -172,15 +174,17 @@ class MetricalConnection:
     # -- coefficients at a point ----------------------------------------------
 
     @cached_property
-    def _delta_metric(self) -> tuple[tuple[tuple[int, int, int, Expr], ...], ...]:
-        """Adapted derivations of the metric, built once: entry 0 holds
-        (j, s, l, Delta_{x_j} g_sl) and entry a holds (j, s, l,
-        Delta_{y^{j(a)}} g_sl) for s <= l. Each entry is normalized once."""
+    def _delta_metric(self) -> tuple[tuple[tuple[int, int, int, tuple[Term, ...]], ...], ...]:
+        """Adapted derivations of the metric, built once as collected term
+        sums with their coefficients folded: entry 0 holds (j, s, l,
+        Delta_{x_j} g_sl) and entry a holds (j, s, l, Delta_{y^{j(a)}} g_sl)
+        for s <= l. Each metric entry is normalized once, and a fold that
+        overflows names the entry."""
         n, k = self.spec.n, self.spec.k
 
-        def delta(s: int, l: int, g, j: int, a: int) -> Expr:  # naming the entry on failure
+        def delta(s: int, l: int, g, j: int, a: int) -> tuple[Term, ...]:
             try:
-                return terms_to_expr(self._delta(g, j, a))
+                return fold_coefficients(self._delta(g, j, a))
             except DomainError as exc:
                 raise DomainError(f"metric entry ({s + 1}, {l + 1}): {exc}") from None
 
@@ -194,7 +198,7 @@ class MetricalConnection:
     def _compiled(self):
         """The metric's upper triangle, then every entry of Delta g."""
         return compile_exprs([e for row in self.metric.upper for e in row]
-                             + [e for level in self._delta_metric for *_, e in level])
+                             + [d for level in self._delta_metric for *_, d in level])
 
     def _values_at(self, env) -> tuple[np.ndarray, list[np.ndarray]]:
         """g at env, and Dg[j, s, l] at env for the base (first) and each
@@ -255,7 +259,8 @@ class MetricalConnection:
         comps = np.array(compile_exprs(flat)(env)).reshape(shape)
         rank = comps.ndim
         L = self.coefficients_at(env).L
-        deltas = compile_exprs([self.delta_x(c, m) for m in range(n) for c in flat])
+        terms = [normalize_terms(c) for c in flat]
+        deltas = compile_exprs([self._delta(t, m, 0) for m in range(n) for t in terms])
         D = np.array(deltas(env)).reshape((n,) + shape)
         out = np.empty((n,) + shape)
         for m in range(n):

@@ -29,15 +29,18 @@ structurally (bitwise) rather than merely to rounding.
 The geometry builders combine such term sums (:func:`expand_terms` each input
 once, then :func:`multiply_terms`, :func:`scale_terms`, :func:`negate_terms`,
 :func:`frac_partial_terms`, concatenation, :func:`collect_terms`) and print
-each result once with :func:`terms_to_expr`; :func:`fold_terms` stands in for
-printing a piece and expanding it again. :func:`partial_terms` is the one
-partial of every term builder, order-alpha or classical, taken on the terms
-of a collected sum.
+each result once with :func:`terms_to_str`, which prints what
+:func:`terms_to_expr` would build without building it; :func:`terms_to_expr`
+remains for the builders whose callers are handed Exprs. :func:`fold_terms`
+stands in for printing a piece and expanding it again. :func:`partial_terms`
+is the one partial of every term builder, order-alpha or classical, taken on
+the terms of a collected sum.
 
 Expressions built once are read at many points through :func:`compile_exprs`:
 the distinct nodes of a tuple of Exprs laid out once in post-order, one slot
 each, and run at each point (an evaluation procedure over the computational
-graph, Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 2).
+graph, Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 2). Collected
+term sums are compiled there directly, with the bits of their Exprs.
 :func:`evaluate` is its one-point call; its grid entry runs the same list once
 over arrays of points, with the same bits at each point.
 
@@ -75,61 +78,67 @@ __all__ = [
     "Expr", "Num", "Var", "Call", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "parse", "to_str", "compile_exprs", "evaluate", "free_vars", "simplify", "simplify_node",
     "Term", "expand_terms", "collect_terms", "normalize_terms", "terms_to_expr",
-    "fold_terms", "multiply_terms", "scale_terms", "negate_terms", "normal_form",
-    "term_frac_partial", "frac_partial_terms", "frac_partial", "classical_partial",
-    "classical_partials", "DerivativeMemo", "frac_partial_at", "FALLBACK_STEP",
-    "partial_terms", "reviewed_exponent", "EXP_SNAP",
+    "terms_to_str", "fold_coefficients", "fold_terms", "multiply_terms", "scale_terms",
+    "negate_terms", "normal_form", "term_frac_partial", "frac_partial_terms", "frac_partial",
+    "classical_partial", "classical_partials", "DerivativeMemo", "frac_partial_at",
+    "FALLBACK_STEP", "partial_terms", "reviewed_exponent", "EXP_SNAP",
 ]
 
 # --------------------------------------------------------------------- AST --
 
+# The value types (the nodes below, Term and GammaProduct) are immutable by
+# convention: slotted, with no instance __dict__, compared and hashed by their
+# fields, and never assigned to once built. They are not frozen: a frozen
+# __init__ stores each field through object.__setattr__, which makes building
+# one, the commonest operation of every builder, about three times dearer.
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call:
     fn: str
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Add:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sub:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mul:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Div:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pow:
     base: "Expr"
     exponent: float
@@ -299,6 +308,27 @@ def _fmt_num(v: float) -> str:
     return repr(v)
 
 
+def _fmt_signed(v: float) -> str:
+    """A Num's text: a leading minus for negative values and for -0.0."""
+    if v < 0 or (v == 0 and math.copysign(1, v) < 0):
+        return f"-{_fmt_num(-v)}"
+    return _fmt_num(v)
+
+
+def _fmt_exponent(p: float) -> str:
+    return _fmt_num(p) if p >= 0 else f"-{_fmt_num(-p)}"
+
+
+def _wrap(s: str, prec: int, parent_prec: int, strict: bool = False) -> str:
+    """``s``, the text of an operand of precedence ``prec``, parenthesized
+    where its parent of precedence ``parent_prec`` needs it: a tighter
+    operand never, a looser one always, and one of equal precedence only on
+    the ``strict`` (right, or power base) side."""
+    if prec < parent_prec or (strict and prec == parent_prec):
+        return f"({s})"
+    return s
+
+
 def _prec(e: Expr) -> int:
     if isinstance(e, (Add, Sub)):
         return 1
@@ -312,20 +342,14 @@ def _prec(e: Expr) -> int:
 
 
 def _paren(child: Expr, parent_prec: int, strict: bool = False) -> str:
-    s = to_str(child)
-    cp = _prec(child)
-    if cp < parent_prec or (strict and cp == parent_prec):
-        return f"({s})"
-    return s
+    return _wrap(to_str(child), _prec(child), parent_prec, strict)
 
 
 def to_str(e: Expr) -> str:
     """Canonical text form; ``parse(to_str(e))`` reproduces the same tree
     shape up to constant-sign normalization, and printing is idempotent."""
     if isinstance(e, Num):
-        if e.value < 0 or (e.value == 0 and math.copysign(1, e.value) < 0):
-            return f"-{_fmt_num(-e.value)}"
-        return _fmt_num(e.value)
+        return _fmt_signed(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Call):
@@ -341,8 +365,7 @@ def to_str(e: Expr) -> str:
     if isinstance(e, Div):
         return f"{_paren(e.left, 2)}/{_paren(e.right, 2, strict=True)}"
     if isinstance(e, Pow):
-        exp = _fmt_num(e.exponent) if e.exponent >= 0 else f"-{_fmt_num(-e.exponent)}"
-        return f"{_paren(e.base, 4, strict=True)}^{exp}"
+        return f"{_paren(e.base, 4, strict=True)}^{_fmt_exponent(e.exponent)}"
     raise TypeError(f"not an Expr: {e!r}")
 
 # --------------------------------------------------------------- evaluation --
@@ -357,7 +380,8 @@ _BINARY_OPS = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 _CALLS = {"gamma": _GAMMA, "ml": _ML}
 
 
-def compile_exprs(exprs: Iterable[Expr]) -> Callable[[dict], tuple[float, ...]]:
+def compile_exprs(
+        exprs: Iterable[Expr | Sequence[Term]]) -> Callable[[dict], tuple[float, ...]]:
     """One evaluator for a tuple of Exprs over their shared DAG.
 
     The returned ``f(env)`` gives the value of every Expr at ``env`` as a
@@ -370,19 +394,40 @@ def compile_exprs(exprs: Iterable[Expr]) -> Callable[[dict], tuple[float, ...]]:
     would meet: unknown variables and arithmetic domain failures raise
     EvalError, gamma poles DomainError. Values are Python floats.
 
+    An item may also be a collected term sum (a tuple or list of Terms),
+    read as ``terms_to_expr(item)`` without building that Expr: its terms
+    are written into the same instruction list, one slot per distinct
+    (name, power) factor, each term's coefficient times its factors
+    multiplied left to right and the terms added left to right, as in the
+    tree, so the values and the first failure are bitwise those of the
+    tree. Opaque factors go through the Expr visitor.
+
     ``f.grid(env)`` is the entry for many points: ``env`` maps each name to a
-    1-D float64 array, all of one length n, and the result is an array of
-    shape (len(exprs), n). It runs the same instructions once over the
-    arrays, one numpy operation for each of ``+ - * /`` and negation, so its
-    values are bitwise those of ``f`` at each point; powers (Python's
-    ``**``), gamma and Mittag-Leffler go point by point or through the array
-    form of :func:`~fracosc.specfun.mittag_leffler`, with the same bits. If
-    any instruction fails, the points are replayed in order through ``f``,
-    which raises the error of the first failing point."""
+    1-D float64 array, all of one length n, or to a float for a name that is
+    constant over the points, and the result is an array of shape
+    (len(exprs), n). It runs the same instructions once over the arrays, one
+    numpy operation for each of ``+ - * /`` and negation, and a slot that no
+    array reaches stays one Python float, so its values are bitwise those of
+    ``f`` at each point; powers (Python's ``**``), gamma and Mittag-Leffler
+    go point by point or through the array form of
+    :func:`~fracosc.specfun.mittag_leffler`, with the same bits. If any
+    instruction fails, the points are replayed in order through ``f``, which
+    raises the error of the first failing point."""
     exprs = tuple(exprs)  # keeps every node alive, so the ids below stay valid
     slots: dict[int, int] = {}  # id(node) -> slot
+    factors: dict[tuple, int] = {}  # (name or id(opaque factor), power) -> slot
     template: list = []  # one slot per distinct node; constants filled in
     code: list[tuple] = []
+
+    def emit(op: int, a, b) -> int:
+        out = len(template)
+        template.append(None)
+        code.append((op, out, a, b))
+        return out
+
+    def constant(c: float) -> int:
+        template.append(c)
+        return len(template) - 1
 
     def visit(e: Expr) -> int:
         hit = slots.get(id(e))
@@ -422,7 +467,38 @@ def compile_exprs(exprs: Iterable[Expr]) -> Callable[[dict], tuple[float, ...]]:
         code.append((op, out, a, b))
         return out
 
-    roots = [visit(e) for e in exprs]
+    def factor(f: str | Expr, p: float) -> int:
+        """The slot of the factor f^p of a term: f a variable name or an
+        opaque Expr."""
+        named = type(f) is str
+        key = (f if named else id(f), p)
+        out = factors.get(key)
+        if out is None:
+            if p != 1.0:
+                out = emit(_POW, factor(f, 1.0), p)
+            else:
+                out = emit(_VAR, f, None) if named else visit(f)
+            factors[key] = out
+        return out
+
+    def visit_sum(terms: Sequence[Term]) -> int:
+        total = None
+        for t in terms:
+            c = t.coeff.value()
+            if c == 0.0:
+                continue
+            prod = None
+            for f, p in (*t.powers, *t.others):
+                slot = factor(f, p)
+                prod = slot if prod is None else emit(_MUL, prod, slot)
+            if prod is None:
+                piece = constant(c)
+            else:
+                piece = prod if c == 1.0 else emit(_MUL, constant(c), prod)
+            total = piece if total is None else emit(_ADD, total, piece)
+        return constant(0.0) if total is None else total
+
+    roots = [visit_sum(e) if isinstance(e, (tuple, list)) else visit(e) for e in exprs]
 
     def run(env: dict) -> tuple[float, ...]:
         v = template[:]
@@ -457,14 +533,16 @@ def compile_exprs(exprs: Iterable[Expr]) -> Callable[[dict], tuple[float, ...]]:
         return tuple([v[r] for r in roots])
 
     def grid(env: dict) -> np.ndarray:
-        columns = [np.asarray(c, dtype=np.float64) for c in env.values()]
-        n = len(columns[0]) if columns else 0
+        env = {name: np.asarray(c, dtype=np.float64) if np.ndim(c) else float(c)
+               for name, c in env.items()}
+        n = next((len(c) for c in env.values() if isinstance(c, np.ndarray)), 0)
         try:
-            v = _run_grid(code, template, dict(zip(env, columns)))
+            v = _run_grid(code, template, env)
         except (FracoscError, ArithmeticError, LookupError, ValueError):
             # the one-point loop raises the first failing point's error
             f = compile_exprs(exprs)  # not ``run``: a cycle through run.grid would outlive f
-            points = [dict(zip(env, p)) for p in zip(*(c.tolist() for c in columns))]
+            columns = [c.tolist() if isinstance(c, np.ndarray) else [c] * n for c in env.values()]
+            points = [dict(zip(env, p)) for p in zip(*columns)]
             return np.array([f(p) for p in points]).reshape(n, len(roots)).T
         out = np.empty((len(roots), n))
         for i, r in enumerate(roots):
@@ -477,8 +555,8 @@ def compile_exprs(exprs: Iterable[Expr]) -> Callable[[dict], tuple[float, ...]]:
 
 def _run_grid(code: list, template: list, env: dict) -> list:
     """The slots of a compiled evaluator over arrays (see :func:`compile_exprs`);
-    a slot free of every variable stays a Python float. Raises on any failure,
-    with no point named."""
+    a slot that no array-valued name reaches stays a Python float. Raises on
+    any failure, with no point named."""
     v = template[:]
     with np.errstate(all="ignore"):
         for op, out, a, b in code:
@@ -688,13 +766,14 @@ def simplify_node(e: Expr) -> Expr:
 # -------------------------------------------------------- monomial fragment --
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Term:
     """One monomial:  coeff * prod(var^power) * prod(opaque_factor^power).
 
     ``powers`` maps variable names to real exponents (sorted tuple of pairs);
     ``others`` holds non-decomposable factors (calls with variable arguments,
-    powers of sums, ...) keyed canonically by their printed form.
+    powers of sums, ...) keyed canonically by their printed form. Immutable
+    by convention, like the Expr nodes.
     """
 
     coeff: GammaProduct
@@ -880,6 +959,38 @@ def terms_to_expr(terms: Iterable[Term]) -> Expr:
     return out
 
 
+def terms_to_str(terms: Iterable[Term]) -> str:
+    """``to_str(terms_to_expr(terms))`` byte for byte, printed from the terms
+    without building the Expr: each term is its coefficient times its
+    factors, multiplied left to right, the terms are added left to right,
+    and every operand is parenthesized as :func:`to_str` parenthesizes it."""
+    pieces: list[tuple[str, int]] = []  # (text, precedence) of each term
+    for t in terms:
+        c = t.coeff.value()
+        if c == 0.0:
+            continue
+        factors = [(name, 5) if p == 1.0 else (f"{name}^{_fmt_exponent(p)}", 4)
+                   for name, p in t.powers]
+        factors += [(to_str(f), _prec(f)) if p == 1.0
+                    else (f"{_paren(f, 4, strict=True)}^{_fmt_exponent(p)}", 4)
+                    for f, p in t.others]
+        if not factors:
+            pieces.append((_fmt_signed(c), 5))
+            continue
+        text, prec = factors[0]
+        for s, p in factors[1:]:
+            text, prec = f"{_wrap(text, prec, 2)}*{_wrap(s, p, 2, strict=True)}", 2
+        if c != 1.0:
+            text, prec = f"{_fmt_signed(c)}*{_wrap(text, prec, 2, strict=True)}", 2
+        pieces.append((text, prec))
+    if not pieces:
+        return "0.0"
+    text = pieces[0][0]  # the left operand of a sum is never parenthesized
+    for s, p in pieces[1:]:
+        text = f"{text} + {_wrap(s, p, 1, strict=True)}"
+    return text
+
+
 def fold_terms(terms: Iterable[Term]) -> list[Term]:
     """``expand_terms(terms_to_expr(terms))``: ledgers fold to floats and zero
     terms drop out. Only terms with opaque factors take the Expr round trip,
@@ -893,6 +1004,16 @@ def fold_terms(terms: Iterable[Term]) -> list[Term]:
         if c != 0.0:
             out.append(Term(GammaProduct.of(c), t.powers))
     return out
+
+
+def fold_coefficients(terms: Iterable[Term]) -> tuple[Term, ...]:
+    """The terms with each gamma ledger folded into its coefficient, as
+    :func:`terms_to_expr` folds them, and the terms that fold to zero left
+    out; keys and order are kept, so every readout of the result (Expr,
+    text, compiled value) is the one of ``terms``. A fold that overflows
+    raises DomainError here rather than at the first readout."""
+    folded = ((t, t.coeff.value()) for t in terms)
+    return tuple(Term(GammaProduct.of(c), t.powers, t.others) for t, c in folded if c != 0.0)
 
 
 def normal_form(e: Expr) -> Expr:
@@ -981,9 +1102,8 @@ def frac_partial_at(e: Expr, var: str, alpha: float, env: dict[str, float]) -> f
     if T <= 0:
         raise DomainError(f"numeric fractional partial needs {var!r} > 0 at the point")
     n = max(8, int(round(T / FALLBACK_STEP)))
-    axis = {name: np.full(n + 1, x, dtype=np.float64) for name, x in env.items()}
-    axis[var] = T * np.arange(n + 1) / n
-    (vals,) = compile_exprs((e,)).grid(axis)
+    # the other names are constant along the axis: one value each, not a column
+    (vals,) = compile_exprs((e,)).grid({**env, var: T * np.arange(n + 1) / n})
     return float(gl_derivative(vals, alpha, T / n)[-1])
 
 # ------------------------------------------------------- classical partials --

@@ -43,9 +43,10 @@ def _merge(ledger: Ledger, entries) -> Ledger:
     return tuple(sorted(powers.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GammaProduct:
-    """Immutable scalar  factor * prod(Gamma(a)**p for a, p in ledger).
+    """Scalar  factor * prod(Gamma(a)**p for a, p in ledger), immutable by
+    convention (slotted and never assigned to; see :mod:`fracosc.expr`).
 
     ``ledger`` is one signed multiset of gamma arguments: (argument, nonzero
     integer power) pairs sorted by argument, so structurally equal products

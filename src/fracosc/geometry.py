@@ -203,7 +203,7 @@ def frac_jacobian_gamma_form(cm: ChartMap, alpha: float, point) -> np.ndarray:
         for j, vj in enumerate(base_vars(cm.n)):
             d = term_frac_partial(powered[0], vj, alpha)
             if d is not None:
-                entries.append((i, j, terms_to_expr([d])))
+                entries.append((i, j, (d,)))
     values = compile_exprs([e for *_, e in entries])(env)
     for (i, j, _), v in zip(entries, values):
         out[i, j] = v / norm

@@ -98,6 +98,7 @@ from .specfun import gamma
 __all__ = [
     "total_jet_derivative",
     "el_residual",
+    "el_residual_terms",
     "craig_synge_level",
     "craig_synge_closed_form",
     "covector_gap",
@@ -169,15 +170,16 @@ def _ladder(spec: BundleSpec, L: Expr, level: int, order, weight) -> list[tuple[
     return out
 
 
-def _el_terms(spec: BundleSpec, L: Expr, order) -> list[tuple[Term, ...]]:
-    """Collected terms of the Euler-Lagrange residual: the ladder at level 0
-    with the weights (-1)^a."""
-    return _ladder(spec, L, 0, order, lambda a: (-1.0) ** a)
-
-
 def el_residual(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Expr, ...]:
     """Euler-Lagrange residual components E_i (zero along extremal jets)."""
-    return tuple(terms_to_expr(e) for e in _el_terms(spec, L, _order(spec, mode)))
+    return tuple(terms_to_expr(e) for e in el_residual_terms(spec, L, mode))
+
+
+def el_residual_terms(spec: BundleSpec, L: Expr, mode: str) -> list[tuple[Term, ...]]:
+    """The collected term sums of :func:`el_residual`, for callers that
+    compile or print the components without their Exprs: the ladder at
+    level 0 with the weights (-1)^a."""
+    return _ladder(spec, L, 0, _order(spec, mode), lambda a: (-1.0) ** a)
 
 
 # ------------------------------------------------------------ covector ladder --
@@ -185,11 +187,14 @@ def el_residual(spec: BundleSpec, L: Expr, mode: str = "fractional") -> tuple[Ex
 
 def craig_synge_level(spec: BundleSpec, L: Expr, level: int) -> tuple[Expr, ...]:
     """Graded covector component at the given level (0..k), fractional mode."""
+    return tuple(terms_to_expr(e) for e in _craig_synge_terms(spec, L, level))
+
+
+def _craig_synge_terms(spec: BundleSpec, L: Expr, level: int) -> list[tuple[Term, ...]]:
     if not (0 <= level <= spec.k):
         raise DomainError(f"ladder level must be in 0..{spec.k}, got {level}")
-    ladder = _ladder(spec, L, level, spec.alpha,
-                     lambda a: (-1.0) ** a / gamma(1.0 + spec.alpha * a))
-    return tuple(terms_to_expr(e) for e in ladder)
+    return _ladder(spec, L, level, spec.alpha,
+                   lambda a: (-1.0) ** a / gamma(1.0 + spec.alpha * a))
 
 
 def craig_synge_closed_form(
@@ -202,6 +207,10 @@ def craig_synge_closed_form(
     with the total derivative truncated to levels <= k and g the fundamental
     tensor. Disagrees with the ladder on quadratic Lagrangians; see
     :func:`covector_gap`."""
+    return tuple(terms_to_expr(e) for e in _closed_form_terms(spec, L, fundamental))
+
+
+def _closed_form_terms(spec: BundleSpec, L: Expr, fundamental) -> list[tuple[Term, ...]]:
     src = normalize_terms(L)
     below = partial_terms(src, spec.level_names(spec.k - 1), spec.alpha)
     inner = partial_terms(src, spec.level_names(spec.k), spec.alpha)
@@ -212,8 +221,8 @@ def craig_synge_closed_form(
         for j in range(spec.n):
             top = expand_terms(Var(jet_var(j, spec.k + 1)))
             terms += negate_terms(multiply_terms(expand_terms(fundamental[i][j]), top))
-        out.append(_sum(terms))
-    return tuple(out)
+        out.append(collect_terms(terms))
+    return out
 
 
 def covector_gap(
@@ -221,8 +230,8 @@ def covector_gap(
 ) -> float:
     """Pointwise gap between the ladder's next-to-top component and the
     closed form — a reported measurement, deliberately not reconciled."""
-    ladder = craig_synge_level(spec, L, spec.k - 1)
-    closed = craig_synge_closed_form(spec, L, fundamental)
+    ladder = _craig_synge_terms(spec, L, spec.k - 1)
+    closed = _closed_form_terms(spec, L, fundamental)
     values = compile_exprs([e for pair in zip(ladder, closed) for e in pair])(env)
     return float(np.max(np.abs(np.subtract(values[::2], values[1::2]))))
 
@@ -237,7 +246,7 @@ def extract_spray(spec: BundleSpec, L: Expr) -> tuple[Expr, ...]:
     the classical partials of E's term sums, to be diagonal and structurally
     nonzero (true for fibre-decoupled polynomial Lagrangians); returns the
     solved expressions."""
-    E = _el_terms(spec, L, spec.alpha)
+    E = el_residual_terms(spec, L, "fractional")
     out = []
     for i in range(spec.n):
         A = [terms_to_expr(collect_terms(d))
@@ -288,14 +297,19 @@ class ReferenceProblem:
     mode: str
 
     @cached_property
+    def _residual_terms(self) -> list[tuple[Term, ...]]:
+        return el_residual_terms(self.spec, self.lagrangian, self.mode)
+
+    @cached_property
     def residual(self) -> tuple[Expr, ...]:
         """The Euler-Lagrange residual of the Lagrangian, built once."""
-        return el_residual(self.spec, self.lagrangian, self.mode)
+        return tuple(terms_to_expr(e) for e in self._residual_terms)
 
     @cached_property
     def _residual_and_target(self):
-        """E_1, target, E_2, target, ... at a point, compiled once."""
-        return compile_exprs([x for e in self.residual for x in (e, self.target)])
+        """E_1, target, E_2, target, ... at a point, compiled once from the
+        residual's term sums."""
+        return compile_exprs([x for e in self._residual_terms for x in (e, self.target)])
 
 
 def _reference_target(alpha: float, power: float, c: float, coeffs) -> Expr:

@@ -1,19 +1,26 @@
 """Metrical connection: adapted derivations, compatibility, covariant
 derivative, and the lifted bundle metric."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import _reference_builders as ref
+from fracosc import cli, expr
 from fracosc.bundle import (
     BundleSpec,
     DualCoefficients,
     JetPoint,
     PrimalCoefficients,
+    dual_to_primal,
+    pairing_residual,
+    spray_to_dual,
 )
 from fracosc.connection import MetricField, MetricalConnection, _nabla_g_norm, sasaki_lift
 from fracosc.errors import DomainError, SingularityError
-from fracosc.expr import evaluate, parse, to_str
+from fracosc.expr import evaluate, parse, terms_to_expr, to_str
 from fracosc.specfun import gamma
 
 
@@ -258,8 +265,9 @@ def test_adapted_derivations_equal_the_expr_sum_reference(name, k):
     rows = tuple(tuple(parse(e) for e in row) for row in DELTA_METRICS[name])
     metric = MetricField.from_matrix(spec, rows)
     conn = MetricalConnection(spec, metric, _dense_primal(spec))
-    built = {(a, j, s, l): e for a, level in enumerate(conn._delta_metric)
-             for j, s, l, e in level}
+    # the cached derivations are term sums; their Exprs are the derivations
+    built = {(a, j, s, l): terms_to_expr(d) for a, level in enumerate(conn._delta_metric)
+             for j, s, l, d in level}
     for s in range(2):
         for l in range(s, 2):
             g = metric.entry(s, l)
@@ -271,3 +279,52 @@ def test_adapted_derivations_equal_the_expr_sum_reference(name, k):
                 for got, want, cached in pairs:
                     assert got == want == cached
                     assert repr(got) == repr(want) == repr(cached)
+
+
+# ------------------------------------------- term sums read out without Exprs
+
+
+def _count_terms_to_expr(monkeypatch) -> list:
+    """The calls of expr.terms_to_expr from now on, through any fracosc module."""
+    calls, real = [], expr.terms_to_expr
+
+    def counting(terms):
+        calls.append(terms)
+        return real(terms)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fracosc") and getattr(module, "terms_to_expr", None) is real:
+            monkeypatch.setattr(module, "terms_to_expr", counting)
+    return calls
+
+
+def test_connection_subcommand_builds_no_expr_of_a_term_sum(tmp_path, monkeypatch):
+    # every coefficient is printed and compiled from its term sum
+    calls = _count_terms_to_expr(monkeypatch)
+    config = Path(__file__).resolve().parent.parent / "configs" / "connection_demo.cfg"
+    assert cli.main(["connection", "--config", str(config), "--out", str(tmp_path / "c.json")]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 3)])
+def test_builder_made_coefficients_read_at_a_point_build_no_expr(monkeypatch, n, k):
+    spec = BundleSpec(n, k, 0.4)
+    G = tuple(parse(f"0.7*x{i}*y{i}_1^2 + 0.3*x{i % n + 1}*y{i % n + 1}_1")
+              for i in range(1, n + 1))
+    metric = MetricField(spec, tuple(
+        tuple(parse(f"1.5 + 0.2*x{i}^2*y{i}_1^2" if i == j else f"0.1*x{i}*x{j}")
+              for j in range(i, n + 1)) for i in range(1, n + 1)))
+    env = dict(zip(spec.all_names(), np.random.default_rng(n + k).uniform(0.5, 1.5, spec.dim)))
+    calls = _count_terms_to_expr(monkeypatch)
+    dual = spray_to_dual(spec, G)
+    primal = dual_to_primal(dual)
+    conn = MetricalConnection(spec, metric, primal)
+    conn.coefficients_at(env)
+    assert pairing_residual(spec, primal, dual, env) < 1e-12
+    assert calls == []
+    # the Exprs, built on first read, evaluate and print as the sums do
+    monkeypatch.undo()
+    for c in (dual, primal):
+        given = type(c)(spec, c.mats)
+        assert np.array_equal(c.values_at(env), given.values_at(env))
+        assert [c.printed(b) for b in range(1, k + 1)] == [given.printed(b) for b in range(1, k + 1)]

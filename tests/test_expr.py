@@ -14,7 +14,7 @@ from fracosc.expr import (
     _quotient_rule, classical_partial, classical_partials, collect_terms, compile_exprs, evaluate,
     expand_terms, fold_terms, frac_partial, frac_partial_at, frac_partial_terms, free_vars,
     multiply_terms, normal_form, normalize_terms, parse, partial_terms, scale_terms, simplify,
-    simplify_node, term_frac_partial, terms_to_expr, to_str,
+    Term, simplify_node, term_frac_partial, terms_to_expr, terms_to_str, to_str,
 )
 from fracosc.gammaledger import GammaProduct
 from fracosc.series import FracSeries, frac_derive
@@ -647,3 +647,156 @@ def test_overflowing_constant_fold_is_a_domain_error():
         to_str(normal_form(e))
     assert _built(simplify, e) == _built(ref.simplify, e) == "DomainError: constant fold overflows"
     assert to_str(simplify(parse("1e200*1e100*x1"))) == "1e+300*x1"
+
+
+# ------------------------------------------ term sums read out without Exprs
+
+#: coefficients: signed zeros, +-1, integer-valued floats at and above 1e16
+#: (printed by repr), and a ledger that folds to a non-integer
+_TERM_COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -0.7, 3.0, 1e16, -1e16, 2e16, 1e300, 0.1])
+    .map(GammaProduct.of),
+    st.sampled_from([1.0, -1.0, 0.5]).map(lambda c: GammaProduct(c, ((1.5, 1), (2.5, -1)))))
+#: exponents: 1.0 (no power printed), negative ones, and large integer-valued ones
+_TERM_POWERS = st.sampled_from([1.0, 1.0, 2.0, -1.0, -2.5, 0.5, 1e16, 3e16, -1e16])
+#: opaque factors: calls, powers of sums, a denominator, and operands of
+#: every precedence, so that each parenthesis rule of the printer is reached
+_TERM_FACTORS = [
+    parse("gamma(x + 1)"), parse("ml(0.5, y)"), parse("(x + y)^0.5"), parse("x + 1"),
+    parse("x - y"), parse("x*y"), parse("x/(y + 2)"), Neg(Var("z")), Num(-2.0), Var("z"),
+]
+_terms = st.builds(
+    lambda c, powers, others: Term(c, tuple(sorted(powers.items())), tuple(others)),
+    _TERM_COEFFS,
+    st.dictionaries(st.sampled_from(["x", "y", "z"]), _TERM_POWERS, max_size=3),
+    st.lists(st.tuples(st.sampled_from(_TERM_FACTORS),
+                       st.sampled_from([1.0, 1.0, -1.0, 2.0, 0.5])), max_size=2))
+#: raw term lists, the empty sum included, and their collected sums
+_term_sums = st.lists(_terms, max_size=5).flatmap(
+    lambda ts: st.sampled_from([ts, _collected_or_none(ts)]))
+
+
+def _collected_or_none(terms):
+    try:
+        return collect_terms(terms)
+    except DomainError:
+        return terms
+
+
+@settings(max_examples=500, deadline=None)
+@given(_term_sums)
+def test_terms_to_str_prints_the_expr_of_the_terms(terms):
+    assert _outcome_str(lambda: terms_to_str(terms)) == _outcome_str(
+        lambda: to_str(terms_to_expr(terms)))
+
+
+def _outcome_str(fn):
+    try:
+        return fn()
+    except DomainError as err:  # a ledger fold that overflows
+        return f"DomainError: {err}"
+
+
+def test_terms_to_str_parenthesizes_as_the_tree():
+    x2 = Term(GammaProduct.of(3.0), (("x", 1.0), ("y", 2.0)))
+    assert terms_to_str((x2,)) == "3.0*(x*y^2.0)"
+    assert terms_to_str((Term(GammaProduct.of(1.0), (), ((parse("x + 1"), 1.0),)),) * 2) == (
+        "x + 1.0 + (x + 1.0)")
+    assert terms_to_str((Term(GammaProduct.of(-1.0), (("x", -1.0),), ((parse("x*y"), 1.0),)),)) == (
+        "-1.0*(x^-1.0*(x*y))")
+    assert terms_to_str(()) == to_str(terms_to_expr(())) == "0.0"
+
+
+#: points binding some of the names: a missing one is an unbound variable
+_term_points = st.sets(st.sampled_from(["x", "y", "z"])).flatmap(
+    lambda names: st.lists(st.fixed_dictionaries({n: _values for n in sorted(names)}),
+                           min_size=1, max_size=3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_term_sums, min_size=1, max_size=3), _term_points)
+def test_compiled_term_sums_equal_the_compiled_exprs(sums, points):
+    # an item that is a term sum reads as its Expr: the same bits at each
+    # point and on a grid, and the same first failure, of the build or a point
+    extra = parse("x*y + gamma(z)")
+
+    def compiled(items):
+        f = compile_exprs(items())
+        return [_outcome(lambda: f(env)) for env in points], f
+
+    want, f_want = _built_or_error(
+        lambda: compiled(lambda: [*(terms_to_expr(t) for t in sums), extra]))
+    got, f_got = _built_or_error(lambda: compiled(lambda: [*sums, extra]))
+    assert got == want
+    if f_want is None or not points[0]:
+        return
+    # the points stacked as columns (a grid's length comes from its arrays),
+    # and a second name, when there is one, held constant as a float
+    columns = {name: np.array([env[name] for env in points]) for name in points[0]}
+    const = {name: float(columns[name][0]) for name in list(columns)[1:2]}
+    wants = [_outcome(lambda: f_want({**env, **const})) for env in points]
+    failed = [w for w in wants if isinstance(w, str)]
+    assert _outcome(lambda: f_got.grid({**columns, **const}).T.ravel().tolist()) == (
+        failed[0] if failed else [bits for w in wants for bits in w])
+
+
+def _built_or_error(build):
+    """``build()``, or the failure of the build and no evaluator."""
+    try:
+        return build()
+    except DomainError as err:
+        return f"DomainError: {err}", None
+
+
+# ----------------------------------------- GL fallback with constant names
+
+
+def _fallback_with_full_columns(e, var, alpha, env):
+    """The GL fallback as it read every other name: a full column each."""
+    from fracosc.numeric import gl_derivative
+
+    T = env[var]
+    n = max(8, int(round(T / FALLBACK_STEP)))
+    axis = {name: np.full(n + 1, x, dtype=np.float64) for name, x in env.items()}
+    axis[var] = T * np.arange(n + 1) / n
+    (vals,) = compile_exprs((e,)).grid(axis)
+    return float(gl_derivative(vals, alpha, T / n)[-1])
+
+
+@pytest.mark.parametrize("text,alpha,env,fails", [
+    # the eigen and sqrt forms of the pointwise benchmark
+    ("x2^1.2345 * ml(0.55, 0.9 * x1^0.55)", 0.55, {"x1": 0.5, "x2": 0.8}, False),
+    ("x2^0.75 * ml(0.3, 1.4 * x1^0.3)", 0.3, {"x1": 0.5, "x2": 1.3}, False),
+    ("(1 + x1^2)^0.5 * x2", 0.45, {"x1": 0.8, "x2": 1.0}, False),
+    # a failing point: the first where the base turns negative, or every point
+    ("(0.3 - x1)^0.5 * x2", 0.5, {"x1": 0.8, "x2": 1.0}, True),
+    ("(1 + x1^2)^0.5 * x2^1.5", 0.5, {"x1": 0.8, "x2": -1.0}, True),
+    ("(1 + x1^2)^0.5 / (x2 - 1)", 0.5, {"x1": 0.8, "x2": 1.0}, True),
+])
+def test_fallback_reads_constant_names_as_floats_with_the_same_bits(text, alpha, env, fails):
+    e = parse(text)
+    with pytest.raises(DomainError):
+        frac_partial(e, "x1", alpha)
+    want = _outcome(lambda: [_fallback_with_full_columns(e, "x1", alpha, env)])
+    assert isinstance(want, str) == fails
+    assert _outcome(lambda: [frac_partial_at(e, "x1", alpha, env)]) == want
+
+
+# ------------------------------------------------------ slotted value types
+
+
+def test_value_types_are_slotted_and_compare_by_fields():
+    x, y = Var("x"), Var("y")
+    values = [Num(1.0), x, Call("gamma", (x,)), Neg(x), Add(x, y), Sub(x, y), Mul(x, y),
+              Div(x, y), Pow(x, 2.0), Term(GammaProduct.of(2.0), (("x", 1.0),)),
+              GammaProduct(2.0, ((1.5, 1),))]
+    for v in values:
+        assert not hasattr(v, "__dict__")
+    assert Add(x, y) != Mul(x, y) and Sub(x, y) != Div(x, y)
+    again = [Num(1.0), Var("x"), Call("gamma", (Var("x"),)), Neg(Var("x")),
+             Add(Var("x"), Var("y")), Sub(Var("x"), y), Mul(x, Var("y")), Div(x, y),
+             Pow(Var("x"), 2.0), Term(GammaProduct.of(2.0), (("x", 1.0),)),
+             GammaProduct(2.0, ((1.5, 1),))]
+    for a, b in zip(values, again):
+        assert a == b and a is not b and hash(a) == hash(b)
+    assert len({*values, *again}) == len(values)

@@ -4,7 +4,8 @@ private names, only ``expr`` evaluates an Expr inside a loop, only
 the gamma functions of ``math``, only ``expr`` expands a constant into a
 term sum to scale by it, only ``expr`` turns a partial into its terms or
 takes one classical partial inside a loop, only the chart prolongation takes
-classical partials of Exprs outside ``expr``, only ``gammaledger`` folds a
+classical partials of Exprs outside ``expr``, no module outside ``expr``
+prints or compiles a term sum through its Expr, only ``gammaledger`` folds a
 gamma ledger and only ``expr`` applies the power rule, every defaulted
 parameter is passed by some call, and a module's ``__all__`` lists only
 names the module defines."""
@@ -193,6 +194,19 @@ def test_only_the_chart_prolongation_takes_the_expr_route():
                     offenders.append(f"{path.name}:{node.lineno} imports {sorted(names)}")
             elif id(node) not in allowed and (getattr(node, "id", None) in _EXPR_ROUTE
                                               or getattr(node, "attr", None) in _EXPR_ROUTE):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_module_prints_or_compiles_a_term_sum_through_its_expr():
+    # term sums are read out by expr.terms_to_str and compile_exprs directly
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (_called(node, "to_str") or _called(node, "compile_exprs")) and any(
+                    _called(sub, "terms_to_expr") for a in node.args for sub in ast.walk(a)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 

@@ -75,7 +75,7 @@ from .expr import (
     collect_terms,
     compile_exprs,
     expand_terms,
-    fold_terms,
+    fold_coefficients,
     multiply_terms,
     normal_form,
     normalize_terms,
@@ -405,10 +405,11 @@ class _Coefficients:
     """Connection coefficient matrices of orders b = 1..k, each n x n.
 
     Coefficients given as Exprs keep them. Those made by the builders keep
-    the collected term sum of each entry instead (``sums``, laid out as
-    ``mats``) and build the Exprs only when ``mats`` or :meth:`order` is
-    read: :meth:`values_at` compiles the sums and :meth:`printed` prints
-    them, with the bits and the text of those Exprs."""
+    the collected, folded term sum of each entry instead (``sums``, laid out
+    as ``mats``, and the same object as ``terms``) and build the Exprs only
+    when ``mats`` or :meth:`order` is read: :meth:`values_at` compiles the
+    sums and :meth:`printed` prints them, with the bits and the text of
+    those Exprs."""
 
     spec: BundleSpec
     mats: tuple[tuple[tuple[Expr, ...], ...], ...]
@@ -425,12 +426,11 @@ class _Coefficients:
 
     @classmethod
     def _bundle(cls, spec: BundleSpec, levels):
-        """Coefficients of the :func:`_fold_matrix` pairs (collected sums,
-        folded terms) of orders 1..k, keeping the sums as ``sums`` and the
-        folded terms as ``terms``."""
+        """Coefficients of the :func:`_fold_matrix` matrices of orders 1..k,
+        kept as both ``sums`` and ``terms``."""
         out = cls.__new__(cls)
-        vars(out).update(spec=spec, sums=tuple(sums for sums, _ in levels),
-                         terms=tuple(tuple(tuple(row) for row in terms) for _, terms in levels))
+        sums = tuple(levels)
+        vars(out).update(spec=spec, sums=sums, terms=sums)
         return out
 
     def __getattr__(self, name: str):
@@ -444,8 +444,8 @@ class _Coefficients:
 
     @cached_property
     def terms(self) -> tuple:
-        """``terms[b - 1][i][j]`` is what expanding entry (i, j) of order b gives:
-        handed on by the builders, expanded on first use for matrices given as Exprs."""
+        """``terms[b - 1][i][j]`` is the term sum of entry (i, j) of order b:
+        the builders' folded sum, expanded on first use for matrices given as Exprs."""
         return tuple(tuple(tuple(expand_terms(e) for e in row) for row in mat)
                      for mat in self.mats)
 
@@ -486,24 +486,24 @@ def _mat_mul(A, B, n: int) -> list:
              for j in range(n)] for i in range(n)]
 
 
-def _fold_matrix(mat) -> tuple[tuple, list]:
-    """A matrix of collected term sums, and the terms that expanding the
-    Expr of each of those sums gives back."""
-    return tuple(tuple(row) for row in mat), [[fold_terms(c) for c in row] for row in mat]
+def _fold_matrix(mat) -> tuple:
+    """The matrix of collected term sums ``mat`` with every sum folded by
+    :func:`~fracosc.expr.fold_coefficients`."""
+    return tuple(tuple(fold_coefficients(c) for c in row) for row in mat)
 
 
 def _triangular(given, n: int, sign: float, built_left: bool) -> list:
     """Levels d = 1..k of X^{(d)} = Y^{(d)} + sign sum_{f<d} A^{(d-f)} B^{(f)}
     for the given levels Y, as term sums, where (A, B) = (X, Y) when
-    ``built_left`` and (Y, X) otherwise; X comes as :func:`_fold_matrix` pairs."""
+    ``built_left`` and (Y, X) otherwise; each X^{(d)} is a :func:`_fold_matrix`."""
     built: list = []
     for d in range(1, len(given) + 1):
         acc = [[list(terms) for terms in row] for row in given[d - 1]]
         for f in range(1, d):
             if built_left:
-                prod = _mat_mul(built[d - f - 1][1], given[f - 1], n)
+                prod = _mat_mul(built[d - f - 1], given[f - 1], n)
             else:
-                prod = _mat_mul(given[d - f - 1], built[f - 1][1], n)
+                prod = _mat_mul(given[d - f - 1], built[f - 1], n)
             for i in range(n):
                 for j in range(n):
                     acc[i][j] += scale_terms(sign, prod[i][j])
@@ -568,13 +568,12 @@ def spray_to_dual(spec: BundleSpec, G: tuple[Expr, ...]) -> DualCoefficients:
     levels = [_fold_matrix([
         [collect_terms(d) for d in partial_terms(collect_terms(g), spec.level_names(1), None)]
         for g in G_terms])]
-    M1_terms = levels[0][1]
     for a in range(1, spec.k):
         scale = gamma(alpha * a) / gamma(alpha * (a + 1))
-        prev = levels[-1][1]
-        derived = [[fold_terms(collect_terms(_spray_terms(spec, G_terms, collect_terms(f))))
+        prev = levels[-1]
+        derived = [[fold_coefficients(collect_terms(_spray_terms(spec, G_terms, f)))
                     for f in row] for row in prev]
-        correction = _mat_mul(M1_terms, prev, n)
+        correction = _mat_mul(levels[0], prev, n)
         levels.append(_fold_matrix([
             [collect_terms(scale_terms(scale, derived[i][j] + correction[i][j]))
              for j in range(n)] for i in range(n)]))

@@ -250,8 +250,7 @@ def _el_curve(cfg, sha, tol, out) -> int:
         raise ParseError("curve mode needs curve.x1 (JSON [[coeff, exponent], ...])")
     spec = BundleSpec(len(curves), k, alpha)
     ts = _parse_grid(get_str(cfg, "el.grid"))
-    if ts[0] <= 0.0:
-        ts = ts[1:]  # jets of power curves blow up / degenerate at t = 0
+    ts = ts[ts > 0.0]  # jets of power curves blow up / degenerate at t <= 0
     if not len(ts):
         raise ParseError("config key 'el.grid' has no point with t > 0")
     cfg.check_all_read()

@@ -31,10 +31,11 @@ once, then :func:`multiply_terms`, :func:`scale_terms`, :func:`negate_terms`,
 :func:`frac_partial_terms`, concatenation, :func:`collect_terms`) and print
 each result once with :func:`terms_to_str`, which prints what
 :func:`terms_to_expr` would build without building it; :func:`terms_to_expr`
-remains for the builders whose callers are handed Exprs. :func:`fold_terms`
-stands in for printing a piece and expanding it again. :func:`partial_terms`
-is the one partial of every term builder, order-alpha or classical, taken on
-the terms of a collected sum.
+remains for the builders whose callers are handed Exprs.
+:func:`fold_coefficients` is the one fold: it turns each gamma ledger of a
+sum into its float with the keys kept, so the folded sum reads out as the
+sum did. :func:`partial_terms` is the one partial of every term builder,
+order-alpha or classical, taken on the terms of a collected sum.
 
 Expressions built once are read at many points through :func:`compile_exprs`:
 the distinct nodes of a tuple of Exprs laid out once in post-order, one slot
@@ -78,7 +79,7 @@ __all__ = [
     "Expr", "Num", "Var", "Call", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "parse", "to_str", "compile_exprs", "evaluate", "free_vars", "simplify", "simplify_node",
     "Term", "expand_terms", "collect_terms", "normalize_terms", "terms_to_expr",
-    "terms_to_str", "fold_coefficients", "fold_terms", "multiply_terms", "scale_terms",
+    "terms_to_str", "fold_coefficients", "multiply_terms", "scale_terms",
     "negate_terms", "normal_form", "term_frac_partial", "frac_partial_terms", "frac_partial",
     "classical_partial", "classical_partials", "DerivativeMemo", "frac_partial_at",
     "FALLBACK_STEP", "partial_terms", "reviewed_exponent", "EXP_SNAP",
@@ -991,29 +992,14 @@ def terms_to_str(terms: Iterable[Term]) -> str:
     return text
 
 
-def fold_terms(terms: Iterable[Term]) -> list[Term]:
-    """``expand_terms(terms_to_expr(terms))``: ledgers fold to floats and zero
-    terms drop out. Only terms with opaque factors take the Expr round trip,
-    which can re-key them (``(den, -1.0)`` comes back as ``(den^-1, 1.0)``)."""
-    out: list[Term] = []
-    for t in terms:
-        if t.others:
-            out += expand_terms(terms_to_expr((t,)))
-            continue
-        c = t.coeff.value()
-        if c != 0.0:
-            out.append(Term(GammaProduct.of(c), t.powers))
-    return out
-
-
-def fold_coefficients(terms: Iterable[Term]) -> tuple[Term, ...]:
+def fold_coefficients(terms: Iterable[Term]) -> list[Term]:
     """The terms with each gamma ledger folded into its coefficient, as
     :func:`terms_to_expr` folds them, and the terms that fold to zero left
     out; keys and order are kept, so every readout of the result (Expr,
     text, compiled value) is the one of ``terms``. A fold that overflows
     raises DomainError here rather than at the first readout."""
     folded = ((t, t.coeff.value()) for t in terms)
-    return tuple(Term(GammaProduct.of(c), t.powers, t.others) for t, c in folded if c != 0.0)
+    return [Term(GammaProduct.of(c), t.powers, t.others) for t, c in folded if c != 0.0]
 
 
 def normal_form(e: Expr) -> Expr:
@@ -1283,7 +1269,7 @@ def partial_terms(terms: Sequence[Term], names: Sequence[str],
     Every term builder takes its partials here."""
     if order is None:
         return _classical_partial_terms(terms, names)
-    return [fold_terms(frac_partial_terms(terms, var, order)) for var in names]
+    return [fold_coefficients(frac_partial_terms(terms, var, order)) for var in names]
 
 
 def _classical_partial_terms(terms: Sequence[Term], names: Sequence[str]) -> list[list[Term]]:

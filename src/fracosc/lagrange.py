@@ -82,7 +82,7 @@ from .expr import (
     collect_terms,
     compile_exprs,
     expand_terms,
-    fold_terms,
+    fold_coefficients,
     multiply_terms,
     negate_terms,
     normal_form,
@@ -141,11 +141,6 @@ def _jet_terms(spec: BundleSpec, f, order, levels: int | None = None) -> tuple[T
     return collect_terms(out)
 
 
-def _dragged(spec: BundleSpec, inner, order, levels: int | None = None) -> list[Term]:
-    """The terms of d_t(inner) for the terms of inner = d_{y^{i(a)}} L."""
-    return fold_terms(_jet_terms(spec, collect_terms(inner), order, levels))
-
-
 def total_jet_derivative(spec: BundleSpec, f: Expr, mode: str = "fractional") -> Expr:
     """Single application of d_t = sum_{i,b} y^{i(b)} d_{y^{i(b-1)}}, with b
     running to k+1, the overshoot needed by the Euler-Lagrange residual."""
@@ -165,7 +160,7 @@ def _ladder(spec: BundleSpec, L: Expr, level: int, order, weight) -> list[tuple[
     for i in range(spec.n):
         terms = base[i] if level == 0 else []
         for a in rungs:
-            terms += scale_terms(weight(a), _dragged(spec, next(inner), order))
+            terms += scale_terms(weight(a), _jet_terms(spec, collect_terms(next(inner)), order))
         out.append(collect_terms(terms))
     return out
 
@@ -217,7 +212,7 @@ def _closed_form_terms(spec: BundleSpec, L: Expr, fundamental) -> list[tuple[Ter
     out = []
     for i in range(spec.n):
         terms = below[i]
-        terms += negate_terms(_dragged(spec, inner[i], spec.alpha, spec.k))
+        terms += negate_terms(_jet_terms(spec, collect_terms(inner[i]), spec.alpha, spec.k))
         for j in range(spec.n):
             top = expand_terms(Var(jet_var(j, spec.k + 1)))
             terms += negate_terms(multiply_terms(expand_terms(fundamental[i][j]), top))
@@ -464,7 +459,7 @@ def prolong_riemann(spec: BundleSpec, rows, inverse_rows=None) -> Prolongation:
                 ginv[i][s], dg[s][l][j] + dg[j][s][l] + negate_terms(dg[j][l][s]))))
 
     gam = [[[christoffel(i, j, l) for l in range(n)] for j in range(n)] for i in range(n)]
-    folded = [[[fold_terms(c) for c in row] for row in mat] for mat in gam]
+    folded = [[[fold_coefficients(c) for c in row] for row in mat] for mat in gam]
     y = [expand_terms(Var(jet_var(m, 1))) for m in range(n)]
     spray = tuple(
         _sum(t for p in range(n) for m in range(n)

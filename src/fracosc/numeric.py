@@ -23,8 +23,8 @@ Costs on N nodes:
   differs from the direct O(N^2) sum by rounding only;
 * the Adams solver precomputes its weights, which depend only on n - j
   (Diethelm, Ford and Freed, Nonlinear Dyn. 29, 2002), and does two dot
-  products per step: still O(N^2), about 5 s for 1e5 steps of a scalar
-  equation on one core of a 2-vCPU Xeon.
+  products per step: still O(N^2), about 3 s for 1e5 steps of the scalar
+  equation D^alpha x = -x on one core of a 2-vCPU Xeon under Python 3.11.
 """
 
 from __future__ import annotations

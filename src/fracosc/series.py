@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import DomainError, EvalError
 from .expr import (
-    EXP_SNAP, Term, collect_terms, fold_terms, frac_partial_terms, multiply_terms, scale_terms,
+    EXP_SNAP, Term, collect_terms, fold_coefficients, frac_partial_terms, multiply_terms,
+    scale_terms,
 )
 from .gammaledger import GammaProduct
 from .specfun import gamma, gen_binomial
@@ -98,8 +99,8 @@ class FracSeries:
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """(coefficient, exponent) pairs: every ledger folded once, equal
         exponents summed, zero coefficients dropped, exponents ascending."""
-        sums: dict[float, float] = {}  # fold_terms drops zeros, so 0.0 + c is c
-        for t in fold_terms(self.terms):
+        sums: dict[float, float] = {}  # folding drops zeros, so 0.0 + c is c
+        for t in fold_coefficients(self.terms):
             e = t.power_of(_T)
             sums[e] = sums.get(e, 0.0) + t.coeff.factor
         return tuple((sums[e], e) for e in sorted(sums) if sums[e] != 0.0)

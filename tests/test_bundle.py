@@ -458,6 +458,21 @@ def test_connection_builders_equal_the_expr_sum_reference(texts, k):
     assert repr(spray_derivation(spec, G)(f)) == repr(ref.spray_derivation(spec, G)(f))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("texts", SPRAYS, ids=["monomial", "opaque"])
+def test_connection_builders_keep_one_folded_sum_per_entry(texts, k):
+    # each builder keeps one collected, folded sum per entry: the sums it
+    # prints and compiles are the terms it hands on
+    spec = BundleSpec(2, k, 0.3)
+    dual = spray_to_dual(spec, tuple(parse(t) for t in texts))
+    primal = dual_to_primal(dual)
+    for c in (dual, primal, primal_to_dual(primal)):
+        sums = vars(c)["sums"]
+        assert c.terms is sums
+        assert all(not t.coeff.ledger for mat in sums for row in mat for entry in row
+                   for t in entry)
+
+
 def test_spray_to_dual_equals_the_expr_sum_reference_at_n3_k3():
     spec = BundleSpec(3, 3, 0.45)
     G = (parse("0.7*x1^0.9*y1_1^2 + 0.3*x2^0.45*y1_1*y2_1"),

@@ -290,6 +290,21 @@ def test_el_curve_grid_without_positive_point_is_config_error(tmp_path, capsys):
     assert captured.err == "config error: config key 'el.grid' has no point with t > 0\n"
 
 
+def test_el_curve_drops_every_grid_point_with_t_not_positive(tmp_path):
+    # only the first point with t <= 0 used to be dropped, so a grid from
+    # -1 failed on the series at t < 0
+    text = (CONFIGS / "el_curve.cfg").read_text()
+    rows = {}
+    for grid in ("-1.0:2.0:0.5", "0.5:2.0:0.5"):
+        p = tmp_path / "grid.cfg"
+        p.write_text(text.replace("el.grid = 0.1:2.0:0.1", f"el.grid = {grid}"))
+        out = tmp_path / f"{grid}.csv"
+        assert main(["el", "--config", str(p), "--assert", "1e-10", "--out", str(out)]) == 0
+        _, header, rows[grid] = _read_csv(out)
+    assert rows["-1.0:2.0:0.5"].tobytes() == rows["0.5:2.0:0.5"].tobytes()
+    assert list(rows["0.5:2.0:0.5"][:, 0]) == [0.5, 1.0, 1.5, 2.0]
+
+
 @pytest.mark.parametrize("command,name", [
     ("el", "el_reference.cfg"), ("el", "el_curve.cfg"),
     ("connection", "connection_demo.cfg"), ("solve", "solve_eigen.cfg"),

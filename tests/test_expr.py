@@ -12,7 +12,7 @@ from fracosc.errors import DomainError, EvalError, ParseError
 from fracosc.expr import (
     FALLBACK_STEP, Add, Call, DerivativeMemo, Div, Mul, Neg, Num, Pow, Sub, Var, _product_rule,
     _quotient_rule, classical_partial, classical_partials, collect_terms, compile_exprs, evaluate,
-    expand_terms, fold_terms, frac_partial, frac_partial_at, frac_partial_terms, free_vars,
+    expand_terms, fold_coefficients, frac_partial, frac_partial_at, frac_partial_terms, free_vars,
     multiply_terms, normal_form, normalize_terms, parse, partial_terms, scale_terms, simplify,
     Term, simplify_node, term_frac_partial, terms_to_expr, terms_to_str, to_str,
 )
@@ -259,8 +259,10 @@ _OPAQUE = [parse("(x1 + x2)^-1"), parse("gamma(x2 + 1)"), parse("1/(y1_1 + 2)")]
 
 @settings(max_examples=300, deadline=None)
 @given(_exprs, st.sampled_from([None, *_OPAQUE]), st.sampled_from([0.5, 0.3, -0.5]))
-def test_fold_terms_is_the_expansion_of_the_printed_sum(e, factor, order):
-    # the connection builders keep fold_terms(c) as the terms of terms_to_expr(c)
+def test_fold_coefficients_keeps_every_readout(e, factor, order):
+    # the one fold: printed text and compiled bits are the sum's, a ledger
+    # through a Gamma pole or an overflow fails as the sum's readout fails,
+    # and a folded sum folds to itself
     if factor is not None:
         e = Add(e, Mul(factor, e))
     try:
@@ -274,16 +276,29 @@ def test_fold_terms_is_the_expansion_of_the_printed_sum(e, factor, order):
             sums.append(frac_partial_terms(collected, var, order))
         except DomainError:
             pass
+    env = {"x1": 1.7, "x2": 0.9, "y1_1": 2.3}
     for c in sums:
         try:
-            want = expand_terms(terms_to_expr(c))
-        except DomainError as exc:  # a ledger through a Gamma pole fails both alike
+            text = terms_to_str(c)
+        except DomainError as exc:
             with pytest.raises(DomainError) as err:
-                fold_terms(c)
+                fold_coefficients(c)
             assert str(err.value) == str(exc)
             continue
-        got = fold_terms(c)
-        assert got == want and repr(got) == repr(want)
+        folded = fold_coefficients(c)
+        assert terms_to_str(folded) == text
+        assert all(not t.coeff.ledger for t in folded)
+        assert _bits_or_error(c, env) == _bits_or_error(folded, env)
+        again = fold_coefficients(folded)
+        assert again == folded and repr(again) == repr(folded)
+
+
+def _bits_or_error(terms, env):
+    """The bytes of the compiled value of a term sum at ``env``, or its error."""
+    try:
+        return np.array(compile_exprs([terms])(env)).tobytes()
+    except (DomainError, EvalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def test_numeric_fallback_with_unbound_axis_is_eval_error():
@@ -537,7 +552,7 @@ def test_classical_partial_terms_equal_the_expanded_partial_of_the_printed_sum(
     # collects to: the same monomials, their coefficients summed in another
     # order; a call that a name reaches raises the printed sum's first error
     try:
-        terms = fold_terms([t for e in linear + monos for t in expand_terms(e)])
+        terms = fold_coefficients([t for e in linear + monos for t in expand_terms(e)])
     except DomainError:
         assume(False)
     want = _collected_sums(

@@ -5,10 +5,10 @@ the gamma functions of ``math``, only ``expr`` expands a constant into a
 term sum to scale by it, only ``expr`` turns a partial into its terms or
 takes one classical partial inside a loop, only the chart prolongation takes
 classical partials of Exprs outside ``expr``, no module outside ``expr``
-prints or compiles a term sum through its Expr, only ``gammaledger`` folds a
-gamma ledger and only ``expr`` applies the power rule, every defaulted
-parameter is passed by some call, and a module's ``__all__`` lists only
-names the module defines."""
+prints, compiles or expands a term sum through its Expr, only
+``gammaledger`` folds a gamma ledger and only ``expr`` applies the power
+rule, every defaulted parameter is passed by some call, and a module's
+``__all__`` lists only names the module defines."""
 
 import ast
 import re
@@ -138,7 +138,7 @@ def _iterables(node):
 def test_only_expr_turns_a_partial_into_terms():
     # the partial of every term builder has one owner: expr.partial_terms,
     # which takes the classical partials along several names in one pass
-    pairs = {("fold_terms", "frac_partial_terms"), ("expand_terms", "classical_partial"),
+    pairs = {("fold_coefficients", "frac_partial_terms"), ("expand_terms", "classical_partial"),
              ("normalize_terms", "classical_partial"), ("expand_terms", "classical_partials"),
              ("normalize_terms", "classical_partials")}
     offenders = []
@@ -206,6 +206,19 @@ def test_no_module_prints_or_compiles_a_term_sum_through_its_expr():
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (_called(node, "to_str") or _called(node, "compile_exprs")) and any(
+                    _called(sub, "terms_to_expr") for a in node.args for sub in ast.walk(a)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_module_expands_the_expr_of_a_term_sum():
+    # a term sum is folded by expr.fold_coefficients, not printed and expanded
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (_called(node, "expand_terms") or _called(node, "normalize_terms")) and any(
                     _called(sub, "terms_to_expr") for a in node.args for sub in ast.walk(a)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
